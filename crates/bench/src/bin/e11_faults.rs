@@ -26,9 +26,7 @@ use mrm_obs::{perfetto, profile, slo, Obs};
 use mrm_sim::time::SimDuration;
 use mrm_sweep::{flag_value_from_args, threads_from_args, Grid, Sweep};
 use mrm_telemetry::{export, SimTelemetry, Snapshot};
-use mrm_tiering::cluster::{
-    run_cluster, run_cluster_observed, run_cluster_with_telemetry, ClusterConfig, ClusterReport,
-};
+use mrm_tiering::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use mrm_tiering::placement::PlacementPolicy;
 use serde::{Serialize, Value};
 
@@ -94,18 +92,17 @@ fn main() {
                 margin: *m,
                 report,
             };
-            if observe {
-                let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
-                let mut obs = Box::new(Obs::new(cfg.seed));
-                let (report, _audit) = run_cluster_observed(cfg.clone(), &mut tele, &mut obs);
-                (record(report), tele.into_snapshots(), Some(obs))
-            } else if collect {
-                let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
-                let report = run_cluster_with_telemetry(cfg.clone(), &mut tele);
-                (record(report), tele.into_snapshots(), None)
-            } else {
-                (record(run_cluster(cfg.clone())), Vec::new(), None)
+            let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
+            let mut obs = observe.then(|| Box::new(Obs::new(cfg.seed)));
+            let mut sim = ClusterSim::new(cfg.clone());
+            if collect || observe {
+                sim.attach_telemetry(&mut tele);
             }
+            if let Some(o) = obs.as_deref_mut() {
+                sim.attach_obs(o);
+            }
+            let report = sim.run();
+            (record(report), tele.into_snapshots(), obs)
         })
         .run_parallel(threads);
     let results: Vec<&FaultSweepRecord> = points.iter().map(|(r, _, _)| r).collect();

@@ -108,12 +108,22 @@ fn run_point(
     let (report, audit) = sim.run_with_audit();
 
     let recs = audit.records();
+    let c = &report.control;
+    let counts = [
+        (c.stores, AuditAction::Store),
+        (c.refreshes, AuditAction::Refresh),
+        (c.migrations, AuditAction::Migrate),
+        (c.drops, AuditAction::Drop),
+        (c.evictions, AuditAction::Evict),
+        (c.retires, AuditAction::Retire),
+        (c.escalations, AuditAction::Escalate),
+        (c.refetches, AuditAction::Refetch),
+        (c.recomputes, AuditAction::Recompute),
+    ];
     let well_formed = recs.iter().enumerate().all(|(i, r)| r.seq == i as u64)
         && recs.windows(2).all(|w| w[0].at <= w[1].at)
-        && report.control.audit_records == audit.len() as u64
-        && report.control.stores == audit.count(AuditAction::Store)
-        && report.control.drops == audit.count(AuditAction::Drop)
-        && report.control.refetches == audit.count(AuditAction::Refetch);
+        && c.audit_records == audit.len() as u64
+        && counts.iter().all(|&(n, action)| n == audit.count(action));
     let record = ControlRecord {
         policy: String::new(), // tagged by the caller from the grid point
         regime: String::new(),

@@ -61,7 +61,7 @@ use mrm_sim::time::{SimDuration, SimTime};
 use mrm_sim::units::{GIB, KIB, MIB};
 use mrm_sweep::{Grid, Sweep};
 use mrm_telemetry::NullSink;
-use mrm_tiering::cluster::{run_cluster, run_cluster_observed, ClusterConfig};
+use mrm_tiering::cluster::{run_cluster, ClusterConfig, ClusterSim};
 use mrm_tiering::placement::PlacementPolicy;
 use mrm_workload::model::{ModelConfig, Quantization};
 use mrm_workload::sessions::SessionSampler;
@@ -638,8 +638,10 @@ fn bench_profiled_cluster(quick: bool) -> ProfiledClusterScenario {
     let run_observed = |cfg: &ClusterConfig| {
         let mut sink = NullSink;
         let mut obs = Box::new(Obs::new(cfg.seed));
-        let (report, _audit) = run_cluster_observed(cfg.clone(), &mut sink, &mut obs);
-        (report.tokens, obs)
+        let mut sim = ClusterSim::new(cfg.clone());
+        sim.attach_telemetry(&mut sink);
+        sim.attach_obs(&mut obs);
+        (sim.run().tokens, obs)
     };
     std::hint::black_box(run_observed(&cfg));
     let mut bare_samples = Vec::with_capacity(reps);

@@ -11,7 +11,7 @@
 use mrm_sim::time::SimDuration;
 use mrm_sweep::{Grid, Sweep};
 use mrm_telemetry::{export, SimTelemetry, Snapshot};
-use mrm_tiering::cluster::{run_cluster, run_cluster_with_telemetry, ClusterConfig, ClusterReport};
+use mrm_tiering::cluster::{run_cluster, ClusterConfig, ClusterReport, ClusterSim};
 use mrm_tiering::placement::PlacementPolicy;
 use serde::Value;
 
@@ -29,8 +29,9 @@ fn sweep_jsonl(threads: usize) -> String {
     let results: Vec<(ClusterReport, Vec<Snapshot>)> =
         Sweep::new(grid(), |cfg: &ClusterConfig, _rng| {
             let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
-            let report = run_cluster_with_telemetry(cfg.clone(), &mut tele);
-            (report, tele.into_snapshots())
+            let mut sim = ClusterSim::new(cfg.clone());
+            sim.attach_telemetry(&mut tele);
+            (sim.run(), tele.into_snapshots())
         })
         .run_parallel(threads);
     let mut out = String::new();
@@ -61,7 +62,9 @@ fn telemetry_sink_leaves_report_unchanged() {
     cfg.duration = SimDuration::from_secs(20);
     let plain = run_cluster(cfg.clone());
     let mut tele = SimTelemetry::new(SimDuration::from_secs(5));
-    let traced = run_cluster_with_telemetry(cfg, &mut tele);
+    let mut sim = ClusterSim::new(cfg);
+    sim.attach_telemetry(&mut tele);
+    let traced = sim.run();
     assert_eq!(plain.tokens, traced.tokens);
     assert_eq!(plain.completions, traced.completions);
     assert_eq!(plain.cache_hits, traced.cache_hits);

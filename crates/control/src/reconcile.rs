@@ -13,6 +13,7 @@
 
 use mrm_sim::time::{SimDuration, SimTime};
 
+use crate::audit::reason;
 use crate::class::ControlClass;
 use crate::expiry::{ExpiryAction, ExpiryTracker};
 use crate::policy::Durability;
@@ -166,8 +167,8 @@ impl Reconciler {
             let reason = match kind {
                 WorkKind::Refresh => "deadline-refresh",
                 WorkKind::Migrate { .. } => "long-remaining-need",
-                WorkKind::RecomputeDrop => "need-lapsed",
-                WorkKind::Retire => "need-ended",
+                WorkKind::RecomputeDrop => reason::NEED_LAPSED,
+                WorkKind::Retire => reason::NEED_ENDED,
                 WorkKind::Refetch => unreachable!("plan never emits refetch"),
             };
             items.push(WorkItem {
@@ -201,7 +202,7 @@ impl Reconciler {
             id,
             class: self.class,
             kind,
-            reason: "uncorrectable-read",
+            reason: reason::UNCORRECTABLE_READ,
         }
     }
 }

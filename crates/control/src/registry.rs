@@ -3,8 +3,9 @@
 //! ROADMAP item 2 / §4: software owns retention, so every class the system
 //! stores must have a *declared* policy before the data path may touch it.
 //! The registry is the single source of truth the reconciler, the audit
-//! oracle, and the placement shim all read; a class without a declaration
-//! is a [`ControlError::Unclassified`] error, not a silent default.
+//! oracle, and the cluster's placement decision all read; a class without a
+//! declaration is a [`ControlError::Unclassified`] error, not a silent
+//! default.
 
 use std::collections::BTreeMap;
 
@@ -37,10 +38,6 @@ impl std::error::Error for ControlError {}
 /// tier logic: self-refreshing tiers (and fixed-retention MRM) use the
 /// tier's native interval; a managed tier running DCM quantizes the
 /// lifetime hint onto the retention-class ladder with the declared margin.
-///
-/// This is *the* placement decision that used to live in
-/// `PlacementPolicy::retention_for`; `mrm-tiering` now shims to it (lint
-/// rule D7 confines callers to this crate and that shim).
 pub fn retention_decision(
     managed_tier: bool,
     dcm: bool,

@@ -17,7 +17,7 @@
 //!   the same seed stops flipping the same bits.
 //! * **D7** pins PR 6's control-plane contract: placement/expiry *decisions*
 //!   (`retention_for`, `ExpiryTracker`, `ExpiryAction`) live in
-//!   `mrm-control` and its two designated shims. Data-path crates that grow
+//!   `mrm-control`. Data-path crates that grow
 //!   their own inline retention decisions bypass the registry and the audit
 //!   log — exactly the drift the control plane exists to prevent.
 //! * **D8** pins PR 7's observability contract: the causal tracer and
@@ -58,8 +58,7 @@ pub enum RuleId {
     /// injection must draw only from the dedicated `FaultRng` stream.
     D6,
     /// Placement/expiry decision API (`retention_for`, `ExpiryTracker`,
-    /// `ExpiryAction`) named in sim-path library code outside `mrm-control`
-    /// and its designated decision shims.
+    /// `ExpiryAction`) named in sim-path library code outside `mrm-control`.
     D7,
     /// Obs hook (`tracer`/`profiler`) touched inside a function that draws
     /// randomness or mutates the event queue: observation must be confined
@@ -168,7 +167,7 @@ impl RuleId {
             }
             RuleId::D7 => {
                 "placement/expiry decisions (retention_for, ExpiryTracker, ExpiryAction) \
-                 are confined to mrm-control and its designated shims"
+                 are confined to mrm-control"
             }
             RuleId::D8 => {
                 "obs hooks (tracer/profiler) may not be touched inside functions that \
@@ -257,7 +256,7 @@ impl RuleId {
                  store/drop/retire decision through the RetentionRegistry and the\n\
                  append-only audit log. A data-path crate naming the decision API has\n\
                  grown an inline retention decision that bypasses both. Fix: call\n\
-                 through `mrm-control` (or one of the two designated tiering shims)."
+                 through `mrm-control`."
             }
             RuleId::D8 => {
                 "D8 — obs hooks stay off the RNG and scheduling paths.\n\n\
@@ -350,10 +349,6 @@ pub struct FileCtx {
     pub units_file: bool,
     /// True for `crates/control`, the home of placement/expiry decisions.
     pub control: bool,
-    /// True for the designated decision shims — the two tiering files that
-    /// are allowed to name the decision API because they *forward* to
-    /// `mrm-control` for compatibility (D7's scope excludes them).
-    pub decision_shim: bool,
 }
 
 /// Crates whose simulation results must be bit-identical for a given seed.
@@ -366,12 +361,6 @@ pub const SIM_PATH_CRATES: [&str; 8] = [
     "workload",
     "ecc",
     "faults",
-];
-
-/// The tiering files that forward to the `mrm-control` decision API (D7).
-pub const DECISION_SHIMS: [&str; 2] = [
-    "crates/tiering/src/refresh.rs",
-    "crates/tiering/src/placement.rs",
 ];
 
 impl FileCtx {
@@ -401,7 +390,6 @@ impl FileCtx {
             library,
             units_file: rel_path == "crates/sim/src/units.rs",
             control: crate_name == Some("control"),
-            decision_shim: DECISION_SHIMS.contains(&rel_path),
         }
     }
 }
@@ -881,12 +869,12 @@ fn scan_d6(code: &[&Token], ctx: &FileCtx, out: &mut Vec<Violation>) {
 }
 
 /// D7: placement/expiry decisions are confined to `mrm-control`. Sim-path
-/// library code outside `crates/control` and the designated shims must not
+/// library code outside `crates/control` must not
 /// name the decision API: a data-path crate spelling `retention_for` or
 /// embedding an `ExpiryTracker` has grown an inline retention decision that
 /// bypasses the declared-policy registry and the audit log.
 fn scan_d7(code: &[&Token], ctx: &FileCtx, out: &mut Vec<Violation>) {
-    if !ctx.sim_path || !ctx.library || ctx.control || ctx.decision_shim {
+    if !ctx.sim_path || !ctx.library || ctx.control {
         return;
     }
     for t in code {
@@ -1267,7 +1255,7 @@ mod tests {
     }
 
     #[test]
-    fn d7_confines_decision_api_to_control_and_shims() {
+    fn d7_confines_decision_api_to_control() {
         // Data-path crate naming the decision API: violation.
         let r = lint_source("let t = ExpiryTracker::new();", &ctx_sim());
         assert_eq!(rules_of(&r), vec![RuleId::D7]);
@@ -1278,16 +1266,13 @@ mod tests {
         assert!(control.control && control.sim_path);
         let r = lint_source("pub struct ExpiryTracker;", &control);
         assert!(r.violations.is_empty());
-        // The designated shims forward to it.
-        for shim in DECISION_SHIMS {
-            let c = FileCtx::classify(shim);
-            assert!(c.decision_shim, "{shim}");
-            let r = lint_source("pub use mrm_control::expiry::ExpiryTracker;", &c);
-            assert!(r.violations.is_empty(), "{shim}");
-        }
+        // Tiering has no exemption: re-exporting the API there is a use.
+        let tiering = FileCtx::classify("crates/tiering/src/refresh.rs");
+        let r = lint_source("pub use mrm_control::expiry::ExpiryTracker;", &tiering);
+        assert_eq!(rules_of(&r), vec![RuleId::D7]);
         // Tests and bins sit outside D7's library scope.
         let r = lint_source(
-            "use mrm::tiering::refresh::ExpiryTracker;",
+            "use mrm::control::expiry::ExpiryTracker;",
             &FileCtx::classify("tests/fault_invariants.rs"),
         );
         assert!(r.violations.is_empty());

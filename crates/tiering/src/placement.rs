@@ -8,7 +8,6 @@
 //! mitigation the paper argues is insufficient, and HBM+MRM with fixed or
 //! dynamically-configured retention.
 
-use mrm_sim::time::SimDuration;
 use mrm_workload::access::DataClass;
 use serde::{Deserialize, Serialize};
 
@@ -65,28 +64,6 @@ impl PlacementPolicy {
         matches!(self, PlacementPolicy::HbmMrm | PlacementPolicy::HbmMrmDcm)
     }
 
-    /// The retention target a write with `lifetime_hint` is programmed at.
-    ///
-    /// Shim over [`mrm_control::registry::retention_decision`], which owns
-    /// the policy: DRAM-family tiers refresh themselves, so retention is
-    /// their native interval; fixed-retention MRM uses `native_retention`;
-    /// DCM quantizes the hint onto the retention-class ladder.
-    pub fn retention_for(
-        self,
-        class: DataClass,
-        lifetime_hint: SimDuration,
-        native_retention: SimDuration,
-        margin: f64,
-    ) -> SimDuration {
-        mrm_control::registry::retention_decision(
-            self.tier_for(class) == TierKind::Mrm,
-            self.uses_dcm(),
-            lifetime_hint,
-            native_retention,
-            margin,
-        )
-    }
-
     /// All policies, in experiment order.
     pub fn all() -> [PlacementPolicy; 4] {
         [
@@ -136,35 +113,6 @@ mod tests {
         assert!(!PlacementPolicy::HbmMrm.uses_dcm());
         assert!(PlacementPolicy::HbmMrm.uses_mrm());
         assert!(!PlacementPolicy::HbmLpddr.uses_mrm());
-    }
-
-    #[test]
-    fn retention_selection() {
-        let native = SimDuration::from_hours(12);
-        // Fixed MRM: native retention regardless of hint.
-        let r = PlacementPolicy::HbmMrm.retention_for(
-            DataClass::KvCache,
-            SimDuration::from_mins(5),
-            native,
-            1.25,
-        );
-        assert_eq!(r, native);
-        // DCM: quantized to the ladder.
-        let r = PlacementPolicy::HbmMrmDcm.retention_for(
-            DataClass::KvCache,
-            SimDuration::from_mins(5),
-            native,
-            1.25,
-        );
-        assert_eq!(r, SimDuration::from_mins(10));
-        // DRAM tiers: native refresh interval.
-        let r = PlacementPolicy::HbmOnly.retention_for(
-            DataClass::KvCache,
-            SimDuration::from_mins(5),
-            SimDuration::from_millis(32),
-            1.25,
-        );
-        assert_eq!(r, SimDuration::from_millis(32));
     }
 
     #[test]
