@@ -507,8 +507,8 @@ fn bench_ecc_batch_decode(quick: bool) -> EccBatchResult {
     let h = Hamming::secded_72_64();
     let (cws, dirty) = ecc_inputs(|d| h.encode(d), h.data_len(), n_secded, 48, 0xECC0);
     // SECDED drives the flat-output batch API with reused buffers — the
-    // production shape for decode ladders, where the whole point of
-    // batching is per-batch instead of per-lane cost.
+    // production shape of the fault model's probes, with no per-lane
+    // allocation.
     let refs: Vec<&[u8]> = cws.iter().map(Vec::as_slice).collect();
     let k = h.data_len();
     let mut flat = Vec::new();

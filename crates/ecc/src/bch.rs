@@ -10,7 +10,8 @@
 //! The implementation is a textbook binary BCH:
 //!
 //! * generator polynomial = LCM of minimal polynomials of `α¹..α^{2t}`,
-//! * systematic encoding by LFSR division,
+//! * systematic encoding by polynomial division, table-driven eight bits
+//!   per step (see [`CleanScreen`]),
 //! * decoding by syndrome computation, Berlekamp–Massey for the error
 //!   locator polynomial, and Chien search for its roots,
 //! * shortened codes (data width chosen freely below the natural `k`).
@@ -18,6 +19,7 @@
 //! Bits are one-per-`u8` (0/1), matching [`crate::hamming`].
 
 use crate::gf::Gf;
+use crate::{gather8, BIT_BYTES};
 
 /// Errors from BCH decoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,11 +73,15 @@ pub struct Bch {
     shorten: usize,
     /// Generator polynomial coefficients over GF(2), index = degree.
     gen: Vec<u8>,
-    /// Horner hop tables for syndrome evaluation: `steps[j-1][d] = α^{j·d}`
-    /// for `d ∈ 0..=64`, so the packed evaluator multiplies across a gap of
-    /// `d` zero coefficients (up to a whole `u64` word) with one table
-    /// lookup instead of `d` field multiplications.
+    /// Power tables for syndrome evaluation: `steps[j-1][d] = α^{j·d}` for
+    /// `d ∈ 0..=64`. The packed Horner evaluator multiplies across a gap of
+    /// `d` zero coefficients (up to a whole `u64` word) with one lookup
+    /// instead of `d` field multiplications; the screened decoder reads
+    /// `α^{j·i}` for each set bit `i < 56` of a remainder directly.
     steps: Vec<Vec<u16>>,
+    /// Byte-wise reduction table behind `encode` and `decode_batch`, built
+    /// once per code; `None` for geometries outside its range.
+    screen: Option<CleanScreen>,
 }
 
 impl Bch {
@@ -132,6 +138,7 @@ impl Bch {
                 row
             })
             .collect();
+        let screen = CleanScreen::build(&gen);
         Bch {
             gf,
             n_full,
@@ -140,6 +147,7 @@ impl Bch {
             shorten,
             gen,
             steps,
+            screen,
         }
     }
 
@@ -175,13 +183,45 @@ impl Bch {
     ///
     /// Panics if `data.len() != self.k()` or any value is not 0/1.
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
+        let mut cw = Vec::with_capacity(self.n());
+        self.encode_into(data, &mut cw);
+        cw
+    }
+
+    /// Allocation-free core of [`Bch::encode`]: replaces the contents of
+    /// `cw` with the codeword for `data`.
+    ///
+    /// The parity is `x^d·d(x) mod g(x)`. Codes with a [`CleanScreen`] take
+    /// it from the screen's byte table, eight data bits per lookup; the
+    /// others run the bit-serial LFSR division.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != self.k()` or any value is not 0/1.
+    pub fn encode_into(&self, data: &[u8], cw: &mut Vec<u8>) {
         assert_eq!(data.len(), self.k, "data length mismatch");
-        let nk = self.parity_bits();
-        let mut rem = vec![0u8; nk];
-        // LFSR division of d(x)·x^nk by g(x); process data from the
-        // highest-degree coefficient down.
-        for i in (0..self.k).rev() {
-            let bit = data[i];
+        let d = self.parity_bits();
+        cw.clear();
+        match &self.screen {
+            Some(s) => {
+                let r = s.rem_shifted(data);
+                cw.extend((0..d).map(|j| (r >> j & 1) as u8));
+            }
+            None => {
+                cw.resize(d, 0);
+                self.lfsr_parity(data, cw);
+            }
+        }
+        cw.extend_from_slice(data);
+    }
+
+    /// LFSR division of `d(x)·x^d` by `g(x)`, one data bit per step from
+    /// the highest-degree coefficient down, leaving the remainder in `rem`
+    /// (length `d`, zeroed by the caller). The encoder for codes without a
+    /// screen, and the reference the table encoder is tested against.
+    fn lfsr_parity(&self, data: &[u8], rem: &mut [u8]) {
+        let nk = rem.len();
+        for &bit in data.iter().rev() {
             assert!(bit <= 1, "bits must be 0 or 1");
             let feedback = bit ^ rem[nk - 1];
             for j in (1..nk).rev() {
@@ -189,15 +229,22 @@ impl Bch {
             }
             rem[0] = feedback & self.gen[0];
         }
-        let mut cw = Vec::with_capacity(self.n());
-        cw.extend_from_slice(&rem);
+    }
+
+    /// The LFSR-encoded codeword for `data`: the reference for the table
+    /// encoder.
+    #[cfg(test)]
+    fn encode_reference(&self, data: &[u8]) -> Vec<u8> {
+        let mut cw = vec![0u8; self.parity_bits()];
+        self.lfsr_parity(data, &mut cw);
         cw.extend_from_slice(data);
         cw
     }
 
     /// Computes the 2t syndromes of a stored codeword by direct per-set-bit
     /// accumulation: `S_j = Σ_{i: c_i=1} α^{j·i}`. Retained as the reference
-    /// oracle for the packed Horner evaluator below.
+    /// oracle for the packed Horner evaluator below and for the
+    /// remainder-derived syndromes of the screened decoder.
     #[cfg(test)]
     fn syndromes_reference(&self, cw: &[u8]) -> Vec<u16> {
         (1..=2 * self.t)
@@ -293,52 +340,161 @@ impl Bch {
         self.correct(cw, &syn)
     }
 
-    /// Decodes a slice of stored codewords: the batched front-end the fault
-    /// model's decode ladders call.
-    ///
-    /// A [`CleanScreen`] reduction table — `v(x)·x^d mod g(x)` for every
-    /// 8-bit chunk `v` — is built once per call and amortized across the
-    /// batch. Each lane then pays one word-parallel remainder computation
-    /// (≈ `n/8` table lookups): remainder zero is *exactly* "all 2t
-    /// syndromes zero" (the syndromes are `c(α^j)` for the roots of `g`, so
-    /// both say `g | c`), and the lane early-exits to the clean path. Only
-    /// lanes with a nonzero remainder pay the per-set-bit Horner syndrome
-    /// pass, Berlekamp–Massey, and Chien search — so a clean-dominated
-    /// batch costs per-batch table construction plus per-lane screening.
-    /// Results are bitwise identical to mapping [`Bch::decode`] over the
-    /// slice (asserted by the differential suite in
-    /// `tests/batch_differential.rs`).
+    /// Decodes a slice of stored codewords, one result per lane — a
+    /// convenience wrapper over [`Bch::decode_batch_into`]. Results are
+    /// bitwise identical to mapping [`Bch::decode`] over the slice
+    /// (asserted by the differential suite in `tests/batch_differential.rs`).
     ///
     /// # Panics
     ///
     /// Panics if any codeword's length differs from `n()`.
     pub fn decode_batch(&self, cws: &[&[u8]]) -> Vec<Result<(Vec<u8>, usize), BchError>> {
-        let screen = CleanScreen::build(&self.gen);
-        let mut words = Vec::new();
-        cws.iter()
-            .map(|cw| {
-                assert_eq!(cw.len(), self.n(), "codeword length mismatch");
-                Self::pack_bits(cw, &mut words);
-                match &screen {
-                    Some(s) => {
-                        if s.rem(&words) == 0 {
-                            return Ok((cw[self.parity_bits()..].to_vec(), 0));
-                        }
-                        // Nonzero remainder ⇒ nonzero syndromes: go
-                        // straight to the algebraic decode.
-                        let syn = self.syndromes_packed(&words);
-                        self.correct(cw, &syn)
-                    }
-                    None => {
-                        let syn = self.syndromes_packed(&words);
-                        if syn.iter().all(|&v| v == 0) {
-                            return Ok((cw[self.parity_bits()..].to_vec(), 0));
-                        }
-                        self.correct(cw, &syn)
-                    }
+        let mut data = Vec::new();
+        let mut outcomes = Vec::new();
+        self.decode_batch_into(cws, &mut data, &mut outcomes);
+        data.chunks_exact(self.k)
+            .zip(outcomes)
+            .map(|(row, outcome)| outcome.map(|fixed| (row.to_vec(), fixed)))
+            .collect()
+    }
+
+    /// Flat-output core of [`Bch::decode_batch`], the decoder the fault
+    /// model's probes call: appends `k()` data bits per lane to `data` and
+    /// the number of bits corrected (or the error) to `outcomes`. An `Err`
+    /// lane's row holds the stored, uncorrected data bits. Reusing the two
+    /// buffers across calls keeps decoding allocation-free on clean lanes.
+    ///
+    /// Each lane pays one [`CleanScreen`] remainder `c(x) mod g(x)` — one
+    /// table lookup per eight bits. Remainder zero is *exactly* "all 2t
+    /// syndromes zero" (both say `g | c`), so clean lanes stop there.
+    /// Dirty lanes take their syndromes from the remainder's ≤ d bits
+    /// (`S_j = c(α^j) = r(α^j)` because `g(α^j) = 0`), run
+    /// Berlekamp–Massey and an incremental Chien search, and recheck the
+    /// corrected word by its remainder. Codes without a screen decode
+    /// through [`Bch::decode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any codeword's length differs from `n()`, or, on a code
+    /// with a screen, holds a value other than 0/1.
+    pub fn decode_batch_into(
+        &self,
+        cws: &[&[u8]],
+        data: &mut Vec<u8>,
+        outcomes: &mut Vec<Result<usize, BchError>>,
+    ) {
+        let d = self.parity_bits();
+        data.reserve(self.k * cws.len());
+        outcomes.reserve(cws.len());
+        for cw in cws {
+            assert_eq!(cw.len(), self.n(), "codeword length mismatch");
+            let row = data.len();
+            data.extend_from_slice(&cw[d..]);
+            let outcome = match &self.screen {
+                Some(s) => match s.rem(cw) {
+                    0 => Ok(0),
+                    r => self.correct_rem(s, r, &cw[..d], &mut data[row..]),
+                },
+                None => self.decode(cw).map(|(out, fixed)| {
+                    data[row..].copy_from_slice(&out);
+                    fixed
+                }),
+            };
+            outcomes.push(outcome);
+        }
+    }
+
+    /// The 2t syndromes of a word whose remainder mod `g` is `r`:
+    /// `S_j = r(α^j)`, one `steps` lookup per set bit of `r` (`d ≤ 56`, so
+    /// every bit index is inside the 65-entry rows).
+    fn syndromes_of_rem(&self, r: u64) -> Vec<u16> {
+        self.steps
+            .iter()
+            .map(|step| {
+                let mut acc = 0u16;
+                let mut x = r;
+                while x != 0 {
+                    acc ^= step[x.trailing_zeros() as usize];
+                    x &= x - 1;
                 }
+                acc
             })
             .collect()
+    }
+
+    /// The dirty half of a screened decode, given the nonzero remainder
+    /// `r`, the stored parity bits and the lane's data row (corrected in
+    /// place on `Ok`, left as stored on `Err`). Rejects exactly where
+    /// [`Bch::decode`] does: locator degree above t, a root count other
+    /// than the degree, or a corrected word that is not a codeword.
+    fn correct_rem(
+        &self,
+        screen: &CleanScreen,
+        r: u64,
+        parity: &[u8],
+        row: &mut [u8],
+    ) -> Result<usize, BchError> {
+        let sigma = self.berlekamp_massey(&self.syndromes_of_rem(r));
+        let nu = sigma.len() - 1;
+        if nu > self.t {
+            return Err(BchError::TooManyErrors);
+        }
+        let roots = self.chien(&sigma, nu);
+        if roots.len() != nu {
+            return Err(BchError::TooManyErrors);
+        }
+        let d = parity.len();
+        let mut fixed_parity = pack_low(parity);
+        for &i in &roots {
+            if i < d {
+                fixed_parity ^= 1 << i;
+            } else {
+                row[i - d] ^= 1;
+            }
+        }
+        // Recheck: the corrected word's remainder, parity ⊕ x^d·data mod g,
+        // must be zero.
+        if screen.rem_shifted(row) != fixed_parity {
+            for &i in roots.iter().filter(|&&i| i >= d) {
+                row[i - d] ^= 1;
+            }
+            return Err(BchError::TooManyErrors);
+        }
+        Ok(nu)
+    }
+
+    /// Chien search over the stored positions in the log domain: position
+    /// `i` is in error iff σ(α^{−i}) = 0. Each nonzero term σ_k·α^{−k·i}
+    /// moves to the next position by adding `n_full − k` to its log — one
+    /// add, one conditional subtract and one antilog lookup per term per
+    /// position, no modulo. Stops at `nu` roots: a degree-ν locator has at
+    /// most ν, and positions below `2^m − 1` are distinct points α^{−i}.
+    fn chien(&self, sigma: &[u16], nu: usize) -> Vec<usize> {
+        let n = self.n_full;
+        let mut terms: Vec<(usize, usize)> = sigma
+            .iter()
+            .enumerate()
+            .skip(1)
+            .filter(|&(_, &s)| s != 0)
+            .map(|(k, &s)| (self.gf.log_of(s), n - k))
+            .collect();
+        let mut roots = Vec::with_capacity(nu);
+        for i in 0..self.n() {
+            let v = terms.iter().fold(1u16, |acc, &(l, _)| acc ^ self.gf.exp(l));
+            if v == 0 {
+                roots.push(i);
+                if roots.len() == nu {
+                    break;
+                }
+            }
+            for (l, step) in &mut terms {
+                *l += *step;
+                if *l >= n {
+                    *l -= n;
+                }
+            }
+        }
+        roots
     }
 
     /// The dirty back half of decoding: Berlekamp–Massey, Chien search over
@@ -423,27 +579,29 @@ impl Bch {
     }
 }
 
-/// CRC-style clean screen for [`Bch::decode_batch`]: a byte-indexed
-/// reduction table for computing `c(x) mod g(x)` over GF(2) word-parallel.
+/// CRC-style byte table for `c(x) mod g(x)` over GF(2), built once per
+/// code in `Bch::build`: the table encoder and the clean screen of
+/// [`Bch::decode_batch_into`].
 ///
 /// A stored word is a valid codeword iff `g | c`, which is also exactly
 /// "all 2t syndromes zero" (the syndromes evaluate `c` at the roots of
 /// `g`), so a zero remainder lets a lane skip syndrome computation
-/// entirely. Building the 256-entry table costs a few microseconds and is
-/// paid once per batch; screening a lane costs one table lookup per input
-/// byte — an order of magnitude cheaper than the per-set-bit Horner
-/// syndrome pass it replaces on clean lanes.
+/// entirely. Building the 256-entry table costs a few microseconds, paid
+/// once per code; a remainder costs one table lookup per eight input
+/// bits — an order of magnitude cheaper than the per-set-bit Horner
+/// syndrome pass, and than the bit-serial LFSR as an encoder.
 ///
 /// Only codes whose parity degree fits the `u64` shift register
-/// (`8 ≤ deg g ≤ 56`) get a screen; tiny test codes fall back to the
-/// syndrome check.
+/// (`8 ≤ deg g ≤ 56`) get a screen; tiny test codes and very strong codes
+/// fall back to the LFSR encoder and the scalar decoder.
+#[derive(Clone, Debug)]
 struct CleanScreen {
     /// Degree of the generator polynomial (= parity bits).
     d: usize,
     /// `(1 << d) − 1`: the remainder register mask.
     mask: u64,
     /// `table[v] = v(x)·x^d mod g(x)` for each 8-bit chunk `v`.
-    table: [u64; 256],
+    table: Box<[u64; 256]>,
 }
 
 impl CleanScreen {
@@ -453,11 +611,8 @@ impl CleanScreen {
             return None;
         }
         // g(x) = x^d + (low bits), so x^d ≡ low bits (mod g).
-        let mut gbits = 0u64;
-        for (j, &g) in gen.iter().enumerate().take(d) {
-            gbits |= u64::from(g) << j;
-        }
         let mask = (1u64 << d) - 1;
+        let gbits = pack_low(&gen[..d]);
         // base[k] = x^{d+k} mod g, by repeated multiply-by-x with reduction.
         let mut base = [0u64; 8];
         let mut pow = gbits;
@@ -471,7 +626,7 @@ impl CleanScreen {
         }
         // table[v] = Σ_{k set in v} base[k], filled in one pass: each v
         // extends the entry with its lowest bit cleared.
-        let mut table = [0u64; 256];
+        let mut table = Box::new([0u64; 256]);
         for v in 1usize..256 {
             let k = v.trailing_zeros() as usize;
             table[v] = table[v ^ (1 << k)] ^ base[k];
@@ -479,21 +634,48 @@ impl CleanScreen {
         Some(CleanScreen { d, mask, table })
     }
 
-    /// Remainder of the bit-packed codeword polynomial mod `g`, processing
-    /// 8 coefficients per step from the highest degree down. Zero iff the
-    /// word is a valid codeword. Leading zero padding in the top word is
-    /// harmless: absorbing zero bytes into a zero register is a no-op.
-    fn rem(&self, words: &[u64]) -> u64 {
-        let mut r = 0u64;
-        for &w in words.iter().rev() {
-            for shift in (0..8).rev() {
-                let byte = (w >> (shift * 8)) & 0xFF;
-                let top = (r >> (self.d - 8)) as usize;
-                r = (((r << 8) | byte) & self.mask) ^ self.table[top];
-            }
+    /// `b(x)·x^d mod g(x)` for one-bit-per-byte coefficients `bits` (index
+    /// = degree), eight coefficients per lookup from the highest degree
+    /// down. Each byte enters at the top of the register (the CRC "direct"
+    /// form), so no pass over `d` appended zeros is needed, and the zero
+    /// padding above a partial top byte is harmless.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any value is not 0/1.
+    fn rem_shifted(&self, bits: &[u8]) -> u64 {
+        let step = |r: u64, byte: u64| {
+            ((r << 8) & self.mask) ^ self.table[((r >> (self.d - 8)) ^ byte) as usize]
+        };
+        let (body, top) = bits.split_at(bits.len() & !7);
+        let mut r = step(0, pack_low(top));
+        for chunk in body.chunks_exact(8).rev() {
+            let x = u64::from_le_bytes(chunk.try_into().expect("chunk is 8 bytes"));
+            assert!(x & !BIT_BYTES == 0, "bits must be 0 or 1");
+            r = step(r, gather8(x));
         }
         r
     }
+
+    /// `c(x) mod g(x)` for a stored codeword: the parity bits have degree
+    /// below `d`, so they add in unreduced. Zero iff `c` is a codeword.
+    fn rem(&self, cw: &[u8]) -> u64 {
+        let (parity, data) = cw.split_at(self.d);
+        pack_low(parity) ^ self.rem_shifted(data)
+    }
+}
+
+/// Packs up to 64 one-bit-per-byte coefficients into a `u64`, bit `i`
+/// holding `bits[i]`.
+///
+/// # Panics
+///
+/// Panics if any value is not 0/1.
+fn pack_low(bits: &[u8]) -> u64 {
+    bits.iter().enumerate().fold(0, |acc, (i, &b)| {
+        assert!(b <= 1, "bits must be 0 or 1");
+        acc | u64::from(b) << i
+    })
 }
 
 /// Computes the generator polynomial for a t-error-correcting binary BCH
@@ -584,28 +766,26 @@ mod tests {
         // of one, and a handful of multi-bit corruptions.
         for (m, t) in [(4u32, 2usize), (6, 2), (8, 3), (10, 2)] {
             let code = Bch::new(m, t);
-            let screen = CleanScreen::build(&code.gen).expect("deg g within screen bounds");
-            let mut words = Vec::new();
-            let check = |cw: &[u8], words: &mut Vec<u64>| {
-                Bch::pack_bits(cw, words);
-                let clean_by_screen = screen.rem(words) == 0;
+            let screen = code.screen.as_ref().expect("deg g within screen bounds");
+            let check = |cw: &[u8]| {
+                let clean_by_screen = screen.rem(cw) == 0;
                 let clean_by_syndromes = code.syndromes_reference(cw).iter().all(|&s| s == 0);
                 assert_eq!(clean_by_screen, clean_by_syndromes, "m={m} t={t}");
                 clean_by_screen
             };
             let data = data_pattern(code.k(), 99);
             let mut cw = code.encode(&data);
-            assert!(check(&cw, &mut words));
+            assert!(check(&cw));
             for i in 0..code.n() {
                 cw[i] ^= 1;
-                assert!(!check(&cw, &mut words), "flip at {i}");
+                assert!(!check(&cw), "flip at {i}");
                 cw[i] ^= 1;
             }
             for flips in [[0usize, 7], [3, 11], [1, 2]] {
                 for &i in &flips {
                     cw[i % code.n()] ^= 1;
                 }
-                check(&cw, &mut words);
+                check(&cw);
                 for &i in &flips {
                     cw[i % code.n()] ^= 1;
                 }
@@ -745,6 +925,101 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every geometry built by this module's tests and by the crate's
+    /// integration tests, screened or not.
+    fn tested_geometries() -> Vec<Bch> {
+        let mut codes: Vec<Bch> = [
+            (4u32, 1usize),
+            (4, 2),
+            (4, 3),
+            (6, 2),
+            (6, 3),
+            (8, 2),
+            (8, 3),
+            (8, 4),
+            (8, 5),
+            (10, 2),
+            (10, 4),
+            (10, 5),
+        ]
+        .into_iter()
+        .map(|(m, t)| Bch::new(m, t))
+        .collect();
+        for (m, t, k) in [
+            (8u32, 4usize, 128usize),
+            (10, 2, 256),
+            (10, 2, 512),
+            (10, 4, 256),
+            (10, 4, 512),
+            (13, 4, 4096),
+        ] {
+            codes.push(Bch::with_data_len(m, t, k));
+        }
+        codes
+    }
+
+    /// Seeded 0/1 data for the differential tests (SplitMix64 stream).
+    fn random_bits(k: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..k)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) & 1) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_encode_matches_lfsr() {
+        for code in tested_geometries() {
+            for seed in 0..6u64 {
+                let data = random_bits(code.k(), seed);
+                assert_eq!(
+                    code.encode(&data),
+                    code.encode_reference(&data),
+                    "n={} k={} t={} seed={seed}",
+                    code.n(),
+                    code.k(),
+                    code.t()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn remainder_syndromes_match_reference() {
+        for code in tested_geometries() {
+            let Some(screen) = &code.screen else {
+                continue;
+            };
+            for seed in 0..6u64 {
+                let mut cw = code.encode(&random_bits(code.k(), seed));
+                for flips in 0..=(code.t() + 2) {
+                    assert_eq!(
+                        code.syndromes_of_rem(screen.rem(&cw)),
+                        code.syndromes_reference(&cw),
+                        "n={} t={} seed={seed} flips={flips}",
+                        code.n(),
+                        code.t()
+                    );
+                    cw[(seed as usize * 37 + flips * 101) % code.n()] ^= 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bits must be 0 or 1")]
+    fn table_encode_rejects_non_bits() {
+        let code = Bch::with_data_len(10, 2, 512);
+        let mut data = vec![0u8; 512];
+        data[300] = 2;
+        let _ = code.encode(&data);
     }
 
     #[test]

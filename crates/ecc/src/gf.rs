@@ -99,6 +99,14 @@ impl Gf {
         self.exp[i]
     }
 
+    /// α raised to an already-reduced power `i < 2·order()`: one table
+    /// lookup, no modulo — for inner loops that keep their exponents in
+    /// range themselves.
+    #[inline]
+    pub(crate) fn exp(&self, i: usize) -> u16 {
+        self.exp[i]
+    }
+
     /// The discrete log of a non-zero element.
     ///
     /// # Panics

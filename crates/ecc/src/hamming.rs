@@ -10,6 +10,8 @@
 //! Bits are represented one-per-`u8` (values 0/1) for clarity; the codec is
 //! still fast enough to stream hundreds of MB/s in the benches.
 
+use crate::gather8;
+
 /// Outcome of decoding one SECDED word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HammingOutcome {
@@ -44,6 +46,15 @@ pub struct Hamming {
     k: usize,
     /// Hamming parity bits (excluding the overall parity bit).
     r: usize,
+    /// Parity-group masks over the bit-packed codeword for
+    /// [`Hamming::decode_batch_into`], `codeword_len().div_ceil(64)` words
+    /// per group: group `j` covers every position with bit `j` set,
+    /// exactly as in [`Hamming::decode`].
+    masks: Vec<u64>,
+    /// The data positions as half-open runs between consecutive parity
+    /// positions (`3..4`, `5..8`, `9..16`, ...), so a clean lane's data
+    /// bits are a handful of slice copies.
+    data_runs: Vec<(usize, usize)>,
 }
 
 impl Hamming {
@@ -59,7 +70,27 @@ impl Hamming {
             r += 1;
             assert!(r <= 16, "data width too large");
         }
-        Hamming { k, r }
+        let n = k + r + 1;
+        let words = n.div_ceil(64);
+        let mut masks = vec![0u64; r * words];
+        for pos in 1..n {
+            for j in 0..r {
+                if pos & (1usize << j) != 0 {
+                    masks[j * words + (pos >> 6)] |= 1u64 << (pos & 63);
+                }
+            }
+        }
+        // r is minimal, so 2^(r-1) + 1 < n ≤ 2^r: every run is non-empty
+        // and the last one ends at n.
+        let data_runs = (1..r)
+            .map(|j| ((1usize << j) + 1, (1usize << (j + 1)).min(n)))
+            .collect();
+        Hamming {
+            k,
+            r,
+            masks,
+            data_runs,
+        }
     }
 
     /// The classic (72,64) DRAM SECDED geometry.
@@ -93,9 +124,21 @@ impl Hamming {
     ///
     /// Panics if `data.len() != self.data_len()` or any value is not 0/1.
     pub fn encode(&self, data: &[u8]) -> Vec<u8> {
+        let mut cw = Vec::with_capacity(self.codeword_len());
+        self.encode_into(data, &mut cw);
+        cw
+    }
+
+    /// Allocation-free core of [`Hamming::encode`]: replaces the contents
+    /// of `cw` with the codeword for `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != self.data_len()` or any value is not 0/1.
+    pub fn encode_into(&self, data: &[u8], cw: &mut Vec<u8>) {
         assert_eq!(data.len(), self.k, "data length mismatch");
-        let n = self.codeword_len();
-        let mut cw = vec![0u8; n];
+        cw.clear();
+        cw.resize(self.codeword_len(), 0);
         // Place data bits at non-power-of-two positions ≥ 1.
         let mut di = 0;
         for (pos, slot) in cw.iter_mut().enumerate().skip(1) {
@@ -121,7 +164,6 @@ impl Hamming {
         }
         // Overall parity over everything else (even parity).
         cw[0] = cw[1..].iter().fold(0u8, |a, &b| a ^ b);
-        cw
     }
 
     /// Decodes a codeword, correcting a single-bit error if present.
@@ -185,8 +227,9 @@ impl Hamming {
     /// gather constant places every byte's LSB at a distinct product
     /// exponent, so the multiply is carry-free and exact), every parity
     /// group folds to one bit via mask + popcount, and clean lanes copy
-    /// data bits through a position table built once per batch — no
-    /// per-bit branching, no codeword copy.
+    /// their data bits as a few contiguous runs — no per-bit branching, no
+    /// codeword copy. The masks and runs are built once in
+    /// [`Hamming::new`], so a batch of a few lanes costs only its lanes.
     ///
     /// # Panics
     ///
@@ -199,18 +242,6 @@ impl Hamming {
     ) {
         let n = self.codeword_len();
         let words = n.div_ceil(64);
-        // Per-batch tables: parity-group masks (group j covers every
-        // position with bit j set, exactly as in `decode`) and the
-        // non-power-of-two data positions.
-        let mut masks = vec![0u64; self.r * words];
-        for pos in 1..n {
-            for j in 0..self.r {
-                if pos & (1usize << j) != 0 {
-                    masks[j * words + (pos >> 6)] |= 1u64 << (pos & 63);
-                }
-            }
-        }
-        let data_pos: Vec<u32> = (1..n as u32).filter(|p| !p.is_power_of_two()).collect();
         data.reserve(self.k * cws.len());
         outcomes.reserve(cws.len());
         let mut w = vec![0u64; words];
@@ -221,9 +252,7 @@ impl Hamming {
             let mut chunks = cw.chunks_exact(8);
             for (i, ch) in chunks.by_ref().enumerate() {
                 let x = u64::from_le_bytes(ch.try_into().expect("chunk is 8 bytes"));
-                debug_assert!(x & !0x0101_0101_0101_0101 == 0, "bits must be 0 or 1");
-                let byte = x.wrapping_mul(0x0102_0408_1020_4080) >> 56;
-                w[i >> 3] |= byte << ((i & 7) * 8);
+                w[i >> 3] |= gather8(x) << ((i & 7) * 8);
             }
             let base = n & !7;
             for (i, &b) in chunks.remainder().iter().enumerate() {
@@ -234,8 +263,7 @@ impl Hamming {
             // Overall parity plus one mask-and-popcount fold per group.
             let overall = w.iter().fold(0u32, |a, x| a + x.count_ones()) & 1;
             let mut syndrome = 0usize;
-            for j in 0..self.r {
-                let m = &masks[j * words..(j + 1) * words];
+            for (j, m) in self.masks.chunks_exact(words).enumerate() {
                 let par = w
                     .iter()
                     .zip(m)
@@ -244,8 +272,10 @@ impl Hamming {
                 syndrome |= (par as usize) << j;
             }
             if syndrome == 0 && overall == 0 {
-                // Clean fast path: gather data bits straight off the input.
-                data.extend(data_pos.iter().map(|&p| cw[p as usize]));
+                // Clean fast path: copy the data runs straight off the input.
+                for &(a, b) in &self.data_runs {
+                    data.extend_from_slice(&cw[a..b]);
+                }
                 outcomes.push(HammingOutcome::Clean);
                 continue;
             }

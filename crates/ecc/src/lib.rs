@@ -27,3 +27,17 @@ pub mod interleave;
 pub use bch::Bch;
 pub use gf::Gf;
 pub use hamming::{Hamming, HammingOutcome};
+
+/// Every byte's low bit: a `u64` of eight one-bit-per-byte values is valid
+/// iff `x & !BIT_BYTES == 0`.
+const BIT_BYTES: u64 = 0x0101_0101_0101_0101;
+
+/// Gathers eight one-bit-per-byte values (little-endian `x`, byte `i` ∈
+/// {0, 1}) into one byte whose bit `i` is byte `i`'s value. One multiply:
+/// the constant places every byte's low bit at a distinct product
+/// exponent, so the product is carry-free in its top byte.
+#[inline]
+fn gather8(x: u64) -> u64 {
+    debug_assert!(x & !BIT_BYTES == 0, "bits must be 0 or 1");
+    x.wrapping_mul(0x0102_0408_1020_4080) >> 56
+}

@@ -24,6 +24,7 @@
 //! runs and thread counts (the hard-determinism contract).
 
 use mrm_ecc::analysis::codeword_failure_prob;
+use mrm_ecc::bch::BchError;
 use mrm_ecc::{Bch, Hamming, HammingOutcome};
 
 use crate::rng::FaultRng;
@@ -168,11 +169,16 @@ enum Probe {
     Miscorrected,
 }
 
-/// Pre-drawn input for one decoder probe: the written data and the
-/// adversarially flipped codeword.
-struct ProbeInput {
+/// Buffers one decoder probe reuses from read to read: the written data,
+/// the flipped codeword, the flip positions, and the decoder's output.
+#[derive(Clone, Debug, Default)]
+struct ProbeScratch {
     data: Vec<u8>,
     cw: Vec<u8>,
+    flipped: Vec<usize>,
+    decoded: Vec<u8>,
+    secded: Vec<HammingOutcome>,
+    bch: Vec<Result<usize, BchError>>,
 }
 
 /// The deterministic fault injector for one controller or tier.
@@ -188,6 +194,7 @@ pub struct FaultModel {
     t: u64,
     rng: FaultRng,
     stats: FaultStats,
+    scratch: ProbeScratch,
 }
 
 impl FaultModel {
@@ -219,6 +226,7 @@ impl FaultModel {
             t,
             rng: FaultRng::for_seed(sim_seed),
             stats: FaultStats::default(),
+            scratch: ProbeScratch::default(),
         }
     }
 
@@ -291,15 +299,10 @@ impl FaultModel {
             }
             // Classify UE candidates through the real decoder on
             // adversarially flipped codewords (t+1 distinct positions).
-            // Inputs are drawn sequentially (decoding consumes no RNG, so
-            // the stream is identical to a draw/decode interleave) and the
-            // whole ladder is decoded in one batch.
             let probes = ue.min(u64::from(self.cfg.decoder_probes));
             out.detected_ue = ue - probes;
-            let inputs: Vec<ProbeInput> =
-                (0..probes).map(|_| self.probe_input(self.t + 1)).collect();
-            for p in self.classify_batch(&inputs) {
-                match p {
+            for _ in 0..probes {
+                match self.probe(self.t + 1) {
                     Probe::Detected => out.detected_ue += 1,
                     Probe::Corrected => out.corrected += 1,
                     Probe::Miscorrected => {
@@ -315,8 +318,7 @@ impl FaultModel {
             // failure here is an ECC bug and is surfaced, not hidden.
             if out.corrected > 0 {
                 let e = 1 + self.rng.gen_range_u64(self.t);
-                let input = self.probe_input(e);
-                match self.classify_batch(std::slice::from_ref(&input))[0] {
+                match self.probe(e) {
                     Probe::Corrected => {}
                     Probe::Detected => {
                         out.corrected -= 1;
@@ -333,13 +335,22 @@ impl FaultModel {
         out
     }
 
-    /// Draws one probe's input: encodes random data and flips `errors`
-    /// distinct bits. This is the *only* RNG-consuming half of a probe —
-    /// classification is pure, so inputs can be drawn up front and decoded
-    /// as one batch without moving a single draw.
-    fn probe_input(&mut self, errors: u64) -> ProbeInput {
-        let n = self.n as usize;
-        let mut data = vec![0u8; self.k as usize];
+    /// Runs one decoder probe: encodes random data, flips `errors`
+    /// distinct bits, decodes, and classifies the outcome. Drawing the
+    /// input is the only RNG-consuming half — decoding is pure — so the
+    /// stream is the same whether probes are drawn up front or one at a
+    /// time. Every buffer is reused, so a probe allocates nothing.
+    fn probe(&mut self, errors: u64) -> Probe {
+        let ProbeScratch {
+            data,
+            cw,
+            flipped,
+            decoded,
+            secded,
+            bch,
+        } = &mut self.scratch;
+        data.clear();
+        data.resize(self.k as usize, 0);
         for chunk in data.chunks_mut(64) {
             let mut w = self.rng.next_u64();
             for b in chunk.iter_mut() {
@@ -347,11 +358,12 @@ impl FaultModel {
                 w >>= 1;
             }
         }
-        let mut cw = match &self.codec {
-            Codec::Secded(h) => h.encode(&data),
-            Codec::Bch(c) => c.encode(&data),
-        };
-        let mut flipped: Vec<usize> = Vec::with_capacity(errors as usize);
+        match &self.codec {
+            Codec::Secded(h) => h.encode_into(data, cw),
+            Codec::Bch(c) => c.encode_into(data, cw),
+        }
+        let n = self.n as usize;
+        flipped.clear();
         while (flipped.len() as u64) < errors.min(self.n) {
             let i = self.rng.gen_index(n);
             if !flipped.contains(&i) {
@@ -359,34 +371,27 @@ impl FaultModel {
                 cw[i] ^= 1;
             }
         }
-        ProbeInput { data, cw }
-    }
-
-    /// Decodes a slice of probe inputs through the batched inner decoder
-    /// and classifies each outcome. RNG-free.
-    fn classify_batch(&self, inputs: &[ProbeInput]) -> Vec<Probe> {
-        let refs: Vec<&[u8]> = inputs.iter().map(|p| p.cw.as_slice()).collect();
+        decoded.clear();
+        let lane: &[u8] = cw;
         match &self.codec {
-            Codec::Secded(h) => h
-                .decode_batch(&refs)
-                .into_iter()
-                .zip(inputs)
-                .map(|((out, outcome), p)| match outcome {
+            Codec::Secded(h) => {
+                secded.clear();
+                h.decode_batch_into(&[lane], decoded, secded);
+                match secded[0] {
                     HammingOutcome::DoubleError => Probe::Detected,
-                    _ if out == p.data => Probe::Corrected,
+                    _ if decoded == data => Probe::Corrected,
                     _ => Probe::Miscorrected,
-                })
-                .collect(),
-            Codec::Bch(c) => c
-                .decode_batch(&refs)
-                .into_iter()
-                .zip(inputs)
-                .map(|(res, p)| match res {
+                }
+            }
+            Codec::Bch(c) => {
+                bch.clear();
+                c.decode_batch_into(&[lane], decoded, bch);
+                match bch[0] {
                     Err(_) => Probe::Detected,
-                    Ok((out, _)) if out == p.data => Probe::Corrected,
+                    Ok(_) if decoded == data => Probe::Corrected,
                     Ok(_) => Probe::Miscorrected,
-                })
-                .collect(),
+                }
+            }
         }
     }
 }

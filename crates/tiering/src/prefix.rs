@@ -18,16 +18,24 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-/// Node identifier in the prefix trie.
+/// One pin on a prefix-trie node, as handed out in [`PrefixInsert::path`]:
+/// the node plus the lease of the insert that pinned it. Releasing it
+/// drops that insert's pin and no other, so a second release of the same
+/// insert is refused even while other requests pin the node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct PrefixNodeId(u32);
+pub struct PrefixNodeId {
+    node: u32,
+    lease: u64,
+}
 
 /// Sentinel parent for root chunks.
-const ROOT: PrefixNodeId = PrefixNodeId(u32::MAX);
+const ROOT: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
 struct Node {
-    refcount: u32,
+    /// Leases of the inserts pinning this node; its refcount is their
+    /// number.
+    pins: Vec<u64>,
     /// Tokens covered by this chunk (== chunk_tokens except a short tail).
     tokens: u32,
 }
@@ -39,7 +47,8 @@ pub struct PrefixInsert {
     pub hit_tokens: u64,
     /// Tokens that must be prefilled and written.
     pub new_tokens: u64,
-    /// The node path now pinned by this request (release when done).
+    /// The node path now pinned by this request, one pin per node under
+    /// this insert's lease (release when done).
     pub path: Vec<PrefixNodeId>,
 }
 
@@ -61,8 +70,11 @@ pub struct PrefixInsert {
 #[derive(Clone, Debug, Default)]
 pub struct PrefixCache {
     chunk_tokens: u32,
-    children: BTreeMap<(PrefixNodeId, u64), PrefixNodeId>,
+    /// `(parent node, chunk hash) → child node`, node = index into `nodes`.
+    children: BTreeMap<(u32, u64), u32>,
     nodes: Vec<Node>,
+    /// Lease of the next insert.
+    next_lease: u64,
     /// Cumulative stats.
     hits_tokens: u64,
     misses_tokens: u64,
@@ -116,6 +128,8 @@ impl PrefixCache {
     /// Inserts a prompt given its chunk hashes and total token count; the
     /// last chunk may be partial. Pins every node on the path.
     pub fn insert(&mut self, chunk_hashes: &[u64], prompt_tokens: u32) -> PrefixInsert {
+        let lease = self.next_lease;
+        self.next_lease += 1;
         let mut parent = ROOT;
         let mut path = Vec::with_capacity(chunk_hashes.len());
         let mut hit_tokens = 0u64;
@@ -135,15 +149,15 @@ impl PrefixCache {
             };
             remaining -= chunk;
             let id = match self.children.get(&(parent, h)) {
-                Some(&id) if self.nodes[id.0 as usize].tokens > 0 => {
-                    self.nodes[id.0 as usize].refcount += 1;
+                Some(&id) if self.nodes[id as usize].tokens > 0 => {
+                    self.nodes[id as usize].pins.push(lease);
                     hit_tokens += u64::from(chunk);
                     id
                 }
                 _ => {
-                    let id = PrefixNodeId(self.nodes.len() as u32);
+                    let id = self.nodes.len() as u32;
                     self.nodes.push(Node {
-                        refcount: 1,
+                        pins: vec![lease],
                         tokens: chunk,
                     });
                     self.children.insert((parent, h), id);
@@ -151,7 +165,7 @@ impl PrefixCache {
                     id
                 }
             };
-            path.push(id);
+            path.push(PrefixNodeId { node: id, lease });
             parent = id;
         }
         self.hits_tokens += hit_tokens;
@@ -166,19 +180,21 @@ impl PrefixCache {
     /// Releases a request's pins. Nodes stay cached (refcount may reach 0)
     /// until [`PrefixCache::evict_unreferenced`] reclaims them.
     ///
-    /// Releasing a path more often than it was pinned is a caller bug:
-    /// debug builds panic (the old `saturating_sub` silently masked the
-    /// double release, letting a still-pinned node reach refcount 0 and be
-    /// evicted under a live request); release builds refuse the decrement
-    /// and count it in [`PrefixCache::release_underflows`].
+    /// Each pin is released at most once. Releasing one a second time is a
+    /// caller bug: debug builds panic; release builds refuse it and count
+    /// it in [`PrefixCache::release_underflows`]. Pins carry their
+    /// insert's lease, so a double release cannot strip another request's
+    /// pin on a shared node and let it be evicted under a live request.
     pub fn release(&mut self, path: &[PrefixNodeId]) {
-        for &id in path {
-            let n = &mut self.nodes[id.0 as usize];
-            debug_assert!(n.refcount > 0, "double release of prefix node {id:?}");
-            if n.refcount == 0 {
-                self.release_underflows += 1;
-            } else {
-                n.refcount -= 1;
+        for &pin in path {
+            let pins = &mut self.nodes[pin.node as usize].pins;
+            let live = pins.iter().position(|&l| l == pin.lease);
+            debug_assert!(live.is_some(), "double release of prefix node {pin:?}");
+            match live {
+                Some(i) => {
+                    pins.swap_remove(i);
+                }
+                None => self.release_underflows += 1,
             }
         }
     }
@@ -202,7 +218,7 @@ impl PrefixCache {
         let mut frontier = vec![ROOT];
         while let Some(p) = frontier.pop() {
             for (&(parent, _), &child) in &self.children {
-                let c = child.0 as usize;
+                let c = child as usize;
                 if parent == p && self.nodes[c].tokens > 0 && !reachable[c] {
                     reachable[c] = true;
                     frontier.push(child);
@@ -211,7 +227,7 @@ impl PrefixCache {
         }
         for &child in self.children.values() {
             assert!(
-                self.nodes[child.0 as usize].tokens > 0,
+                self.nodes[child as usize].tokens > 0,
                 "edge points at evicted node {child:?}"
             );
         }
@@ -236,14 +252,14 @@ impl PrefixCache {
             let has_live_child: Vec<bool> = {
                 let mut v = vec![false; self.nodes.len()];
                 for (&(parent, _), &child) in &self.children {
-                    if parent != ROOT && self.nodes[child.0 as usize].tokens > 0 {
-                        v[parent.0 as usize] = true;
+                    if parent != ROOT && self.nodes[child as usize].tokens > 0 {
+                        v[parent as usize] = true;
                     }
                 }
                 v
             };
             for (i, n) in self.nodes.iter_mut().enumerate() {
-                if n.tokens > 0 && n.refcount == 0 && !has_live_child[i] {
+                if n.tokens > 0 && n.pins.is_empty() && !has_live_child[i] {
                     reclaimed += u64::from(n.tokens);
                     n.tokens = 0;
                     changed = true;
@@ -254,7 +270,7 @@ impl PrefixCache {
             }
         }
         self.children
-            .retain(|_, &mut child| self.nodes[child.0 as usize].tokens > 0);
+            .retain(|_, &mut child| self.nodes[child as usize].tokens > 0);
         reclaimed
     }
 }
