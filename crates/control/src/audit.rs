@@ -232,19 +232,13 @@ impl AuditLog {
     /// same `(class, id)`. An empty result is the invariant the chaos
     /// suite asserts. `Retire` (need ended) is always legal.
     pub fn required_drop_violations(&self, registry: &RetentionRegistry) -> Vec<u64> {
-        let mut recovered: BTreeSet<(ControlClass, u64)> = BTreeSet::new();
-        let mut violations = Vec::new();
-        for r in &self.records {
-            if r.action.is_recovery() {
-                recovered.insert((r.class, r.id));
-            } else if r.action.is_reclaim()
-                && registry.is_required(r.class)
-                && !recovered.contains(&(r.class, r.id))
-            {
-                violations.push(r.seq);
-            }
-        }
-        violations
+        let required = required_classes(registry);
+        let mut recovered = BTreeSet::new();
+        self.records
+            .iter()
+            .filter(|r| is_violation(r, &required, &mut recovered))
+            .map(|r| r.seq)
+            .collect()
     }
 
     /// Emits `control_*` counters (monotone totals) plus one `audit_*`
@@ -263,11 +257,46 @@ impl AuditLog {
     }
 }
 
+/// The registry resolved once into a per-class table: `true` where the
+/// class is `Required` (undeclared classes included), indexed by
+/// [`ControlClass::index`].
+fn required_classes(registry: &RetentionRegistry) -> [bool; 5] {
+    ControlClass::all().map(|c| registry.is_required(c))
+}
+
+/// One step of the REQUIRED-DURABLE scan: true if `r` reclaims a
+/// `Required` object with no earlier recovery in `recovered`. Records of
+/// other classes are skipped before the set is touched. A recovery of
+/// `(class, id)` only ever excuses a reclaim of the same `(class, id)`,
+/// and reclaims are only checked for `Required` classes, so a recovery of
+/// any other class would never be looked up.
+fn is_violation(
+    r: &AuditRecord,
+    required: &[bool; 5],
+    recovered: &mut BTreeSet<(ControlClass, u64)>,
+) -> bool {
+    if !required[r.class.index()] {
+        return false;
+    }
+    if r.action.is_recovery() {
+        recovered.insert((r.class, r.id));
+        false
+    } else {
+        r.action.is_reclaim() && !recovered.contains(&(r.class, r.id))
+    }
+}
+
 /// An incremental REQUIRED-DURABLE scan over one [`AuditLog`]. Each
 /// [`AuditCursor::advance`] reads only the records appended since the
 /// previous call, and carries the recovered set of the REQUIRED-DURABLE
 /// scan, so the running violation count costs O(new records) instead of a
 /// rescan of the whole log.
+///
+/// Like the full scan, the set holds only recoveries of `Required`
+/// classes. The cursor therefore assumes each class's durability stays
+/// the same across advances: a class that turned `Required` later would
+/// have had its earlier recoveries skipped. Swapping in a registry that
+/// keeps every class's durability (a new follow-up window, say) is fine.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AuditCursor {
     next: usize,
@@ -278,15 +307,11 @@ pub(crate) struct AuditCursor {
 impl AuditCursor {
     /// Counts the required-drop violations among the records appended to
     /// `log` since the previous call. Always advance a cursor over the
-    /// same log.
+    /// same log, under registries that agree on every class's durability.
     pub fn advance(&mut self, log: &AuditLog, registry: &RetentionRegistry) {
+        let required = required_classes(registry);
         for r in &log.records[self.next..] {
-            if r.action.is_recovery() {
-                self.recovered.insert((r.class, r.id));
-            } else if r.action.is_reclaim()
-                && registry.is_required(r.class)
-                && !self.recovered.contains(&(r.class, r.id))
-            {
+            if is_violation(r, &required, &mut self.recovered) {
                 self.violations += 1;
             }
         }
@@ -304,6 +329,7 @@ impl AuditCursor {
 mod tests {
     use super::*;
     use crate::policy::RetentionPolicy;
+    use mrm_sim::rng::SimRng;
     use mrm_sim::time::SimDuration;
 
     fn t(s: u64) -> SimTime {
@@ -312,6 +338,76 @@ mod tests {
 
     fn serving() -> RetentionRegistry {
         RetentionRegistry::serving_default(SimDuration::from_mins(10))
+    }
+
+    /// The REQUIRED-DURABLE walk before the Required-only filter: every
+    /// recovery enters the set, whatever its class. Kept as the reference
+    /// the filtered scan must match.
+    fn reference_violations(log: &AuditLog, registry: &RetentionRegistry) -> Vec<u64> {
+        let mut recovered: BTreeSet<(ControlClass, u64)> = BTreeSet::new();
+        let mut violations = Vec::new();
+        for r in log.records() {
+            if r.action.is_recovery() {
+                recovered.insert((r.class, r.id));
+            } else if r.action.is_reclaim()
+                && registry.is_required(r.class)
+                && !recovered.contains(&(r.class, r.id))
+            {
+                violations.push(r.seq);
+            }
+        }
+        violations
+    }
+
+    /// All 3^5 = 243 registries: each class undeclared, `Required` or
+    /// `Ephemeral`.
+    fn all_registries() -> Vec<RetentionRegistry> {
+        (0..243u32)
+            .map(|code| {
+                let mut reg = RetentionRegistry::new();
+                let mut rest = code;
+                for c in ControlClass::all() {
+                    match rest % 3 {
+                        0 => {}
+                        1 => reg.declare(c, RetentionPolicy::required()),
+                        _ => reg.declare(c, RetentionPolicy::ephemeral(SimDuration::from_mins(10))),
+                    }
+                    rest /= 3;
+                }
+                reg
+            })
+            .collect()
+    }
+
+    fn log_of(script: &[(ControlClass, u64, AuditAction)]) -> AuditLog {
+        let mut log = AuditLog::new();
+        for (i, &(class, id, action)) in script.iter().enumerate() {
+            log.record(t(i as u64), class, id, action, "script", 1);
+        }
+        log
+    }
+
+    /// The filtered scan and a cursor split at `split` both agree with
+    /// the reference walk under every registry.
+    fn assert_matches_reference(script: &[(ControlClass, u64, AuditAction)], split: usize) {
+        let log = log_of(script);
+        let head = log_of(&script[..split]);
+        for (code, reg) in all_registries().iter().enumerate() {
+            let want = reference_violations(&log, reg);
+            assert_eq!(
+                log.required_drop_violations(reg),
+                want,
+                "registry {code}, script {script:?}"
+            );
+            let mut cursor = AuditCursor::default();
+            cursor.advance(&head, reg);
+            cursor.advance(&log, reg);
+            assert_eq!(
+                cursor.violations(),
+                want.len() as u64,
+                "registry {code}, split {split}"
+            );
+        }
     }
 
     #[test]
@@ -477,6 +573,57 @@ mod tests {
             cursor.advance(&prefix, &reg);
             assert_eq!(cursor.violations(), full, "split {split}");
         }
+    }
+
+    #[test]
+    fn filtered_scan_matches_reference_on_random_scripts() {
+        let mut rng = SimRng::seed_from(0xA0D1);
+        for _ in 0..64 {
+            let len = rng.gen_index(48);
+            let script: Vec<_> = (0..len)
+                .map(|_| {
+                    let class = ControlClass::all()[rng.gen_index(5)];
+                    // A small id space so recoveries and reclaims collide.
+                    let id = rng.gen_range_u64(6);
+                    let action = AuditAction::all()[rng.gen_index(9)];
+                    (class, id, action)
+                })
+                .collect();
+            let split = rng.gen_index(len + 1);
+            assert_matches_reference(&script, split);
+        }
+    }
+
+    #[test]
+    fn recovery_of_another_class_never_excuses_a_drop() {
+        let script = [
+            (ControlClass::KvPrefix, 7, AuditAction::Recompute),
+            (ControlClass::KvTail, 7, AuditAction::Drop),
+            (ControlClass::Weights, 7, AuditAction::Refetch),
+            (ControlClass::SessionState, 7, AuditAction::Evict),
+        ];
+        assert_eq!(log_of(&script).required_drop_violations(&serving()), [1, 3]);
+        assert_matches_reference(&script, 1);
+    }
+
+    #[test]
+    fn lifecycle_shaped_script_matches_reference() {
+        // Thousands of reconciler recompute-drops of parked prefixes, with
+        // a few Required reclaims mixed in: one legal (recovered first),
+        // one not, reusing the prefix ids.
+        let mut script = Vec::new();
+        for id in 0..2_000u64 {
+            script.push((ControlClass::KvPrefix, id, AuditAction::Recompute));
+            script.push((ControlClass::KvPrefix, id, AuditAction::Drop));
+            if id % 500 == 0 {
+                script.push((ControlClass::KvTail, id, AuditAction::Recompute));
+                script.push((ControlClass::KvTail, id, AuditAction::Drop));
+                script.push((ControlClass::Weights, id, AuditAction::Evict));
+            }
+        }
+        let log = log_of(&script);
+        assert_eq!(log.required_drop_violations(&serving()).len(), 4);
+        assert_matches_reference(&script, script.len() / 2);
     }
 
     #[test]

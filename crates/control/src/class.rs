@@ -43,6 +43,11 @@ impl ControlClass {
         ]
     }
 
+    /// Position in [`ControlClass::all`], for per-class tables.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable label for telemetry and reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -69,6 +74,13 @@ impl ControlClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, c) in ControlClass::all().into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
+    }
 
     #[test]
     fn labels_are_unique() {

@@ -7,11 +7,13 @@
 //! This target generates arbitrary decision streams (every action ×
 //! every class × lean-biased ids and times) and checks the scan against
 //! an independent reimplementation kept deliberately dumb: a `BTreeSet`
-//! of recovered `(class, id)` pairs and a linear walk. Two registries
-//! are consulted — the serving default, and the empty registry (under
-//! which *every* class is Required) — plus the log's structural
-//! contract: dense sequence numbers, nondecreasing sim-time, and a
-//! summary histogram that reconciles against the raw records.
+//! of recovered `(class, id)` pairs and a linear walk. Three registries
+//! are consulted — the serving default, the empty registry (under which
+//! *every* class is Required), and a mixed split derived from the case
+//! itself (each class undeclared, Required or Ephemeral, so across cases
+//! the scan meets all 3^5 splits) — plus the log's structural contract:
+//! dense sequence numbers, nondecreasing sim-time, and a summary
+//! histogram that reconciles against the raw records.
 //!
 //! Sabotage mode credits recovery records to the wrong class in the
 //! *model* — the scan and the model then disagree about which later
@@ -19,7 +21,9 @@
 
 use crate::engine::FuzzTarget;
 use crate::rng::FuzzRng;
-use mrm_control::{AuditAction, AuditLog, ControlClass, RetentionRegistry};
+use mrm_control::{
+    AuditAction, AuditLog, ControlClass, Durability, RetentionPolicy, RetentionRegistry,
+};
 use mrm_sim::time::{SimDuration, SimTime, NANOS_PER_SEC};
 use std::collections::BTreeSet;
 
@@ -64,6 +68,56 @@ fn is_recovery(a: AuditAction) -> bool {
 
 fn is_reclaim(a: AuditAction) -> bool {
     matches!(a, AuditAction::Drop | AuditAction::Evict)
+}
+
+/// The case's mixed durability split, one entry per class in
+/// `ControlClass::all()` order (`None` = undeclared): the base-3 digits
+/// of an FNV-1a hash of the ops, so replaying a trace rebuilds the same
+/// registry.
+fn mixed_split(ops: &[ControlOp]) -> [Option<Durability>; 5] {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    for op in ops {
+        match op {
+            ControlOp::Advance { secs } => mix(*secs),
+            ControlOp::Record {
+                class_idx,
+                id,
+                action_idx,
+                bytes,
+            } => {
+                mix(u64::from(*class_idx));
+                mix(*id);
+                mix(u64::from(*action_idx));
+                mix(*bytes);
+            }
+        }
+    }
+    let mut code = h % 243;
+    ControlClass::all().map(|_| {
+        let d = match code % 3 {
+            0 => None,
+            1 => Some(Durability::Required),
+            _ => Some(Durability::Ephemeral),
+        };
+        code /= 3;
+        d
+    })
+}
+
+fn registry_of(split: &[Option<Durability>; 5]) -> RetentionRegistry {
+    let mut reg = RetentionRegistry::new();
+    for (class, d) in ControlClass::all().into_iter().zip(split) {
+        match d {
+            None => {}
+            Some(Durability::Required) => reg.declare(class, RetentionPolicy::required()),
+            Some(Durability::Ephemeral) => reg.declare(
+                class,
+                RetentionPolicy::ephemeral(SimDuration::from_secs(20)),
+            ),
+        }
+    }
+    reg
 }
 
 /// Position of `a` in `AuditAction::all()` (the log's histogram order).
@@ -204,6 +258,8 @@ impl FuzzTarget for ControlTarget {
     fn run(&self, ops: &[ControlOp]) -> Result<(), String> {
         let serving = RetentionRegistry::serving_default(SimDuration::from_secs(20));
         let empty = RetentionRegistry::new();
+        let split = mixed_split(ops);
+        let mixed = registry_of(&split);
         let mut log = AuditLog::new();
         let mut now = SimTime::ZERO;
 
@@ -212,6 +268,7 @@ impl FuzzTarget for ControlTarget {
         let mut recovered: BTreeSet<(ControlClass, u64)> = BTreeSet::new();
         let mut expect_serving: Vec<u64> = Vec::new();
         let mut expect_empty: Vec<u64> = Vec::new();
+        let mut expect_mixed: Vec<u64> = Vec::new();
         let mut histogram = [0u64; 9];
         let mut times: Vec<SimTime> = Vec::new();
 
@@ -246,8 +303,14 @@ impl FuzzTarget for ControlTarget {
                         if serving.is_required(class) {
                             expect_serving.push(seq);
                         }
-                        // The empty registry treats everything as Required.
+                        // The empty registry treats everything as Required;
+                        // so does the mixed split, except where Ephemeral.
                         expect_empty.push(seq);
+                        if split[usize::from(*class_idx) % split.len()]
+                            != Some(Durability::Ephemeral)
+                        {
+                            expect_mixed.push(seq);
+                        }
                     }
                     histogram[idx_of(action)] += 1;
                     times.push(now);
@@ -255,7 +318,7 @@ impl FuzzTarget for ControlTarget {
             }
         }
 
-        // The scan agrees with the dumb model under both registries.
+        // The scan agrees with the dumb model under all three registries.
         let got_serving = log.required_drop_violations(&serving);
         if got_serving != expect_serving {
             return Err(format!(
@@ -268,6 +331,14 @@ impl FuzzTarget for ControlTarget {
             return Err(format!(
                 "empty registry: scan found violations {got_empty:?}, \
                  model expects {expect_empty:?}"
+            ));
+        }
+
+        let got_mixed = log.required_drop_violations(&mixed);
+        if got_mixed != expect_mixed {
+            return Err(format!(
+                "mixed registry {split:?}: scan found violations {got_mixed:?}, \
+                 model expects {expect_mixed:?}"
             ));
         }
 
