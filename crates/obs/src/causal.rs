@@ -29,7 +29,9 @@
 //!
 //! [`async_end`]: CausalTracer::async_end
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mrm_sim::time::SimTime;
 
@@ -188,13 +190,68 @@ pub struct Link {
 /// Cluster-wide track for spans not tied to one accelerator.
 pub const CLUSTER_TRACK: u32 = u32::MAX;
 
+/// An open async span: the fields `async_begin` fixes. The subject is
+/// the map key's; the parent (`None`), the async flag and the detail
+/// are filled in when the span closes. 24 bytes against a `SpanRec`'s
+/// 104, so the map of parked prefixes stays small and cache-resident.
+#[derive(Clone, Copy)]
+struct OpenAsync {
+    id: SpanId,
+    kind: SpanKind,
+    track: u32,
+    begin: SimTime,
+}
+
+impl OpenAsync {
+    fn close(self, subject: u64, end: SimTime, detail: Detail) -> SpanRec {
+        SpanRec {
+            id: self.id,
+            parent: None,
+            kind: self.kind,
+            track: self.track,
+            subject,
+            begin: self.begin,
+            end,
+            is_async: true,
+            detail,
+        }
+    }
+}
+
+/// Open async spans keyed by `(kind, subject)`.
+type AsyncMap<V> = HashMap<(u8, u64), V, BuildHasherDefault<KeyHasher>>;
+
+/// Multiply-rotate hasher for the `(kind, subject)` async keys. Subjects
+/// are the simulator's own request and context counters, not untrusted
+/// input, so SipHash's flooding resistance buys nothing; this costs one
+/// multiply per field. The maps are never iterated in hash order (see
+/// `async_open`), so the hash function cannot reach a trace.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
 /// Bounded, deterministic span recorder. See the module docs for the
 /// span shapes; all methods are observe-only and O(open spans) worst
 /// case, O(1) typical.
-/// Async-span slot: the first open span inline plus spilled duplicates
-/// (see the `async_open` field doc).
-type AsyncSlot = (SpanRec, Vec<SpanRec>);
-
 pub struct CausalTracer {
     trace_id: TraceId,
     next: u64,
@@ -205,14 +262,17 @@ pub struct CausalTracer {
     open: Vec<SpanRec>,
     /// Per-track nesting stacks over `open` span ids.
     stacks: Vec<(u32, Vec<SpanId>)>,
-    /// Open async spans keyed by (kind, subject). The value holds the
-    /// first open span inline and spills re-opened duplicates into the
-    /// vec (empty in the common case, so no per-key allocation). Keyed
-    /// lookup keeps `async_end` O(1) however many prefixes are parked
-    /// at once. The map is only ever *looked up* by key on the hot path;
-    /// the one place that iterates it ([`CausalTracer::finish`]) sorts
-    /// first, so hash order never reaches the trace.
-    async_open: HashMap<(u8, u64), AsyncSlot>,
+    /// Open async spans keyed by (kind, subject): the first open span of
+    /// each key. Keyed lookup keeps `async_end` O(1) however many
+    /// prefixes are parked at once. The maps are only ever *looked up*
+    /// by key on the hot path; the one place that iterates them
+    /// ([`CausalTracer::finish`]) sorts first, so hash order never
+    /// reaches the trace.
+    async_open: AsyncMap<OpenAsync>,
+    /// Re-opened duplicates of a key already in `async_open`, oldest
+    /// first. Rare, so it is kept apart and costs nothing per key; a key
+    /// is present only while its vec is non-empty.
+    async_spill: AsyncMap<Vec<OpenAsync>>,
     links: Vec<Link>,
     dropped: u64,
 }
@@ -240,7 +300,8 @@ impl CausalTracer {
             closed: VecDeque::with_capacity(capacity.min(1 << 15)),
             open: Vec::new(),
             stacks: Vec::new(),
-            async_open: HashMap::new(),
+            async_open: AsyncMap::default(),
+            async_spill: AsyncMap::default(),
             links: Vec::new(),
             dropped: 0,
         }
@@ -380,22 +441,18 @@ impl CausalTracer {
     /// Opens an async lifecycle span keyed by `(kind, subject)`.
     pub fn async_begin(&mut self, at: SimTime, kind: SpanKind, track: u32, subject: u64) -> SpanId {
         let id = self.next_id();
-        let rec = SpanRec {
+        let open = OpenAsync {
             id,
-            parent: None,
             kind,
             track,
-            subject,
             begin: at,
-            end: at,
-            is_async: true,
-            detail: Detail::default(),
         };
-        match self.async_open.entry((kind as u8, subject)) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert((rec, Vec::new()));
+        let key = (kind as u8, subject);
+        match self.async_open.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(open);
             }
-            std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().1.push(rec),
+            Entry::Occupied(_) => self.async_spill.entry(key).or_default().push(open),
         }
         id
     }
@@ -404,20 +461,19 @@ impl CausalTracer {
     /// unmatched ends are ignored.
     pub fn async_end(&mut self, at: SimTime, kind: SpanKind, subject: u64, detail: Detail) {
         let key = (kind as u8, subject);
-        let Some((first, spill)) = self.async_open.get_mut(&key) else {
-            return;
-        };
-        let mut rec = match spill.pop() {
-            Some(r) => r,
-            None => {
-                let r = *first;
-                self.async_open.remove(&key);
-                r
+        let open = match self.async_spill.get_mut(&key) {
+            Some(spill) => {
+                let open = spill.pop();
+                if spill.is_empty() {
+                    self.async_spill.remove(&key);
+                }
+                open
             }
+            None => self.async_open.remove(&key),
         };
-        rec.end = at;
-        rec.detail = detail;
-        self.retain(rec);
+        if let Some(open) = open {
+            self.retain(open.close(subject, at, detail));
+        }
     }
 
     /// Records a causal edge from `cause` to `effect`.
@@ -433,17 +489,15 @@ impl CausalTracer {
         for id in open {
             self.end(at, id);
         }
-        let mut entries: Vec<((u8, u64), AsyncSlot)> =
+        let mut entries: Vec<((u8, u64), OpenAsync)> =
             std::mem::take(&mut self.async_open).into_iter().collect();
         entries.sort_unstable_by_key(|(key, _)| *key);
-        for (_, (first, mut spill)) in entries {
-            while let Some(mut rec) = spill.pop() {
-                rec.end = at;
-                self.retain(rec);
+        let mut spill = std::mem::take(&mut self.async_spill);
+        for (key, first) in entries {
+            for open in spill.remove(&key).into_iter().flatten().rev() {
+                self.retain(open.close(key.1, at, Detail::default()));
             }
-            let mut rec = first;
-            rec.end = at;
-            self.retain(rec);
+            self.retain(first.close(key.1, at, Detail::default()));
         }
     }
 
@@ -475,11 +529,8 @@ impl CausalTracer {
     /// Spans currently open (slices + async).
     pub fn open_count(&self) -> usize {
         self.open.len()
-            + self
-                .async_open
-                .values()
-                .map(|(_, spill)| 1 + spill.len())
-                .sum::<usize>()
+            + self.async_open.len()
+            + self.async_spill.values().map(Vec::len).sum::<usize>()
     }
 }
 
@@ -578,6 +629,37 @@ mod tests {
         assert_eq!(rec.detail.reason, "completed");
         assert_eq!(tr.open_count(), 1);
         tr.finish(t(6));
+        assert_eq!(tr.open_count(), 0);
+    }
+
+    #[test]
+    fn reopened_async_key_closes_most_recent_first() {
+        let mut tr = tracer(16);
+        let a = tr.async_begin(t(1), SpanKind::Prefix, 2, 77);
+        let b = tr.async_begin(t(2), SpanKind::Prefix, 3, 77);
+        let c = tr.async_begin(t(3), SpanKind::Prefix, 4, 77);
+        let d = tr.async_begin(t(4), SpanKind::Prefix, 5, 77);
+        let other = tr.async_begin(t(5), SpanKind::Prefix, 0, 6);
+        let done = Detail {
+            reason: "retired",
+            ..Detail::default()
+        };
+        tr.async_end(t(7), SpanKind::Prefix, 77, done);
+        assert_eq!(tr.open_count(), 4);
+        // Teardown drains keys in sorted order, each key's duplicates
+        // most recent first.
+        tr.finish(t(9));
+        let closed: Vec<&SpanRec> = tr.spans().collect();
+        let order: Vec<SpanId> = closed.iter().map(|r| r.id).collect();
+        assert_eq!(order, [d, other, c, b, a]);
+        let expected = [(4, 5, 7), (5, 0, 9), (3, 4, 9), (2, 3, 9), (1, 2, 9)];
+        for (rec, (begin, track, end)) in closed.iter().zip(expected) {
+            assert_eq!((rec.begin, rec.track, rec.end), (t(begin), track, t(end)));
+            assert!(rec.is_async && rec.parent.is_none());
+            assert_eq!(rec.kind, SpanKind::Prefix);
+        }
+        assert_eq!(closed[0].detail.reason, "retired");
+        assert_eq!(closed[2].detail.reason, "");
         assert_eq!(tr.open_count(), 0);
     }
 

@@ -1536,9 +1536,10 @@ impl<'t> ClusterSim<'t> {
                 self.accels[acc].weights_written_at = now;
             }
         }
-        // KV: all active contexts read; one vector appended per context;
-        // prefill KV written. The tier and the batch are disjoint fields,
-        // so the batch is walked in place — no per-iteration `Vec` of
+        // KV: all active contexts read; one vector appended per context,
+        // metered in one call over the batch's retention column; prefill
+        // KV written. The tier and the batch are disjoint fields, so the
+        // column is borrowed in place — no per-iteration `Vec` of
         // retentions on the hot path.
         {
             let Accel {
@@ -1549,11 +1550,10 @@ impl<'t> ClusterSim<'t> {
                 _ => alt.as_mut().expect("policy requires an alternate tier"),
             };
             t += kvt.stream_read(kv_read_total);
-            for &rt in &batch.retention {
-                t += kvt.stream_write(kvpt, rt);
-            }
+            t += kvt.stream_append(kvpt, &batch.retention);
             if prefill_write_bytes > 0 {
-                // Prefill writes use the batch-average retention.
+                // Prefill writes use the retention of the batch's first
+                // context (slot 0), not a batch average.
                 let rt = batch.retention.first().copied().unwrap_or(native);
                 t += kvt.stream_write(prefill_write_bytes, rt);
             }
