@@ -23,7 +23,7 @@
 //! the calendar [`EventQueue`] — no wall-clock input anywhere.
 
 use mrm_bench::{heading, save_json};
-use mrm_control::{AuditAction, ControlClass, ControlPlane, Reconciler, RetentionRegistry};
+use mrm_control::{AuditAction, ControlClass, ControlPlane, Reason, Reconciler, RetentionRegistry};
 use mrm_controller::dcm::DcmController;
 use mrm_controller::ftl::{Ftl, FtlConfig};
 use mrm_controller::mrm_block::{MrmBlockController, ZoneError, ZoneId, ZoneState};
@@ -234,7 +234,7 @@ impl Soak {
             ControlClass::KvPrefix,
             id,
             AuditAction::Store,
-            "session-kv",
+            Reason::SessionKv,
             bytes,
         );
         self.prefix_recon.observe_store(
@@ -348,7 +348,7 @@ impl Soak {
                 ControlClass::KvPrefix,
                 u64::MAX,
                 AuditAction::Migrate,
-                "retention-window-reconfigured",
+                Reason::RetentionWindowReconfigured,
                 0,
             );
             self.reconfigs += 1;

@@ -1,9 +1,9 @@
 //! # `mrm-bench` — the experiment harness
 //!
 //! One binary per paper experiment (see `DESIGN.md` §4 for the experiment
-//! index) plus criterion benches. Each binary prints the table/series the
-//! paper reports and drops a machine-readable JSON record under
-//! `target/experiments/` for `EXPERIMENTS.md` bookkeeping.
+//! index), plus the `perf_suite` timing harness. Each binary prints the
+//! table/series the paper reports and drops a machine-readable JSON record
+//! under `target/experiments/` for `EXPERIMENTS.md` bookkeeping.
 //!
 //! Run them all with:
 //!

@@ -132,16 +132,125 @@ impl AuditAction {
     }
 }
 
-/// Reason strings that folds over the log match on. The sites that record
-/// them use the same constants, so renaming a reason cannot silently zero
-/// a count folded from the log.
-pub mod reason {
-    /// The reconciler reclaims an `Ephemeral` object whose need lapsed.
-    pub const NEED_LAPSED: &str = "need-lapsed";
-    /// The reconciler retires a `Required` object whose need ended.
-    pub const NEED_ENDED: &str = "need-ended";
+/// Why a decision was made: a closed set, stored in one byte per record.
+/// Folds over the log match on variants, so a mistyped reason does not
+/// compile, and [`Reason::label`] is the stable string that traces and
+/// reports show.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Reason {
+    /// A new request's KV tail is admitted.
+    Admit,
+    /// A follow-up turn is admitted on a reused prefix.
+    FollowupAdmit,
+    /// A parked prefix is consumed by its follow-up turn.
+    FollowupConsumed,
+    /// A completed request's prefix is parked for a follow-up.
+    ParkFollowup,
+    /// A request completed and its KV tail is released.
+    Completed,
+    /// Evicted to make room for an admission.
+    MemoryPressure,
+    /// A stalled admission puts its reused prefix back in the cache.
+    StallPutback,
+    /// A cached prefix outlived its retention before the follow-up came.
+    RetentionLapsed,
     /// A read stayed uncorrectable past the retry rung of the fault ladder.
-    pub const UNCORRECTABLE_READ: &str = "uncorrectable-read";
+    UncorrectableRead,
+    /// A follow-up found its prefix already evicted and recomputes it.
+    AlreadyEvicted,
+    /// A parked prefix's TTL lapsed.
+    TtlExpired,
+    /// A scrub's verify read failed, so the prefix escalates.
+    ScrubVerifyFailed,
+    /// Weights replaced by a newer deployment.
+    Superseded,
+    /// Weights written by a redeployment.
+    Redeploy,
+    /// Weights written by the initial deployment.
+    Deploy,
+    /// The reconciler refreshes an object near its retention deadline.
+    DeadlineRefresh,
+    /// The reconciler migrates an object whose need outlasts its class.
+    LongRemainingNeed,
+    /// The reconciler reclaims an `Ephemeral` object whose need lapsed.
+    NeedLapsed,
+    /// The reconciler retires a `Required` object whose need ended.
+    NeedEnded,
+    /// A session's KV is stored.
+    SessionKv,
+    /// The retention window was reconfigured.
+    RetentionWindowReconfigured,
+}
+
+impl Reason {
+    /// Every reason, in declaration order.
+    pub fn all() -> [Reason; 21] {
+        [
+            Reason::Admit,
+            Reason::FollowupAdmit,
+            Reason::FollowupConsumed,
+            Reason::ParkFollowup,
+            Reason::Completed,
+            Reason::MemoryPressure,
+            Reason::StallPutback,
+            Reason::RetentionLapsed,
+            Reason::UncorrectableRead,
+            Reason::AlreadyEvicted,
+            Reason::TtlExpired,
+            Reason::ScrubVerifyFailed,
+            Reason::Superseded,
+            Reason::Redeploy,
+            Reason::Deploy,
+            Reason::DeadlineRefresh,
+            Reason::LongRemainingNeed,
+            Reason::NeedLapsed,
+            Reason::NeedEnded,
+            Reason::SessionKv,
+            Reason::RetentionWindowReconfigured,
+        ]
+    }
+
+    /// Stable, machine-greppable label (the trace's `reason` argument).
+    pub fn label(self) -> &'static str {
+        match self {
+            Reason::Admit => "admit",
+            Reason::FollowupAdmit => "followup-admit",
+            Reason::FollowupConsumed => "followup-consumed",
+            Reason::ParkFollowup => "park-followup",
+            Reason::Completed => "completed",
+            Reason::MemoryPressure => "memory-pressure",
+            Reason::StallPutback => "stall-putback",
+            Reason::RetentionLapsed => "retention-lapsed",
+            Reason::UncorrectableRead => "uncorrectable-read",
+            Reason::AlreadyEvicted => "already-evicted",
+            Reason::TtlExpired => "ttl-expired",
+            Reason::ScrubVerifyFailed => "scrub-verify-failed",
+            Reason::Superseded => "superseded",
+            Reason::Redeploy => "redeploy",
+            Reason::Deploy => "deploy",
+            Reason::DeadlineRefresh => "deadline-refresh",
+            Reason::LongRemainingNeed => "long-remaining-need",
+            Reason::NeedLapsed => "need-lapsed",
+            Reason::NeedEnded => "need-ended",
+            Reason::SessionKv => "session-kv",
+            Reason::RetentionWindowReconfigured => "retention-window-reconfigured",
+        }
+    }
+}
+
+impl From<&'static str> for Reason {
+    /// The reason whose [`Reason::label`] is `label`.
+    ///
+    /// # Panics
+    ///
+    /// On a string that is no reason's label: the set is closed.
+    fn from(label: &'static str) -> Self {
+        Reason::all()
+            .into_iter()
+            .find(|r| r.label() == label)
+            .unwrap_or_else(|| panic!("unknown audit reason {label:?}"))
+    }
 }
 
 /// One appended decision.
@@ -157,11 +266,16 @@ pub struct AuditRecord {
     pub id: u64,
     /// What was decided.
     pub action: AuditAction,
-    /// Why (static, machine-greppable).
-    pub reason: &'static str,
+    /// Why.
+    pub reason: Reason,
     /// Bytes affected.
     pub bytes: u64,
 }
+
+// Four 8-byte fields and three one-byte enums. A long run's log holds
+// millions of records (~1.7M in perfbench's `lifecycle`), so each byte
+// here costs megabytes of peak heap.
+const _: () = assert!(std::mem::size_of::<AuditRecord>() == 40);
 
 /// Append-only decision log with per-action counts and a telemetry cursor.
 #[derive(Clone, Debug, Default)]
@@ -185,7 +299,7 @@ impl AuditLog {
         class: ControlClass,
         id: u64,
         action: AuditAction,
-        reason: &'static str,
+        reason: Reason,
         bytes: u64,
     ) -> u64 {
         debug_assert!(
@@ -382,7 +496,7 @@ mod tests {
     fn log_of(script: &[(ControlClass, u64, AuditAction)]) -> AuditLog {
         let mut log = AuditLog::new();
         for (i, &(class, id, action)) in script.iter().enumerate() {
-            log.record(t(i as u64), class, id, action, "script", 1);
+            log.record(t(i as u64), class, id, action, Reason::SessionKv, 1);
         }
         log
     }
@@ -410,6 +524,50 @@ mod tests {
         }
     }
 
+    /// The labels of every reason, verbatim: traces and reports print
+    /// these, so a renamed label changes their bytes.
+    const LABELS: [&str; 21] = [
+        "admit",
+        "followup-admit",
+        "followup-consumed",
+        "park-followup",
+        "completed",
+        "memory-pressure",
+        "stall-putback",
+        "retention-lapsed",
+        "uncorrectable-read",
+        "already-evicted",
+        "ttl-expired",
+        "scrub-verify-failed",
+        "superseded",
+        "redeploy",
+        "deploy",
+        "deadline-refresh",
+        "long-remaining-need",
+        "need-lapsed",
+        "need-ended",
+        "session-kv",
+        "retention-window-reconfigured",
+    ];
+
+    #[test]
+    fn reason_labels_are_pinned_unique_and_round_trip() {
+        let labels = Reason::all().map(Reason::label);
+        assert_eq!(labels, LABELS);
+        let unique: BTreeSet<_> = labels.iter().collect();
+        assert_eq!(unique.len(), labels.len(), "duplicate label");
+        for (i, r) in Reason::all().into_iter().enumerate() {
+            assert_eq!(r as usize, i, "all() is in declaration order");
+            assert_eq!(Reason::from(LABELS[i]), r);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown audit reason \"fuzz-stream\"")]
+    fn unknown_reason_label_panics() {
+        let _ = Reason::from("fuzz-stream");
+    }
+
     #[test]
     fn seqs_are_dense_and_counts_track() {
         let mut log = AuditLog::new();
@@ -418,7 +576,7 @@ mod tests {
             ControlClass::Weights,
             0,
             AuditAction::Store,
-            "admit",
+            Reason::Admit,
             10,
         );
         let s1 = log.record(
@@ -426,15 +584,22 @@ mod tests {
             ControlClass::KvPrefix,
             7,
             AuditAction::Store,
-            "park",
+            Reason::ParkFollowup,
             5,
         );
-        let s2 = log.record(t(3), ControlClass::KvPrefix, 7, AuditAction::Drop, "ttl", 5);
+        let s2 = log.record(
+            t(3),
+            ControlClass::KvPrefix,
+            7,
+            AuditAction::Drop,
+            Reason::TtlExpired,
+            5,
+        );
         assert_eq!((s0, s1, s2), (0, 1, 2));
         assert_eq!(log.len(), 3);
         assert_eq!(log.count(AuditAction::Store), 2);
         assert_eq!(log.count(AuditAction::Drop), 1);
-        assert_eq!(log.records()[2].reason, "ttl");
+        assert_eq!(log.records()[2].reason, Reason::TtlExpired);
     }
 
     #[test]
@@ -445,10 +610,17 @@ mod tests {
             ControlClass::KvPrefix,
             1,
             AuditAction::Store,
-            "park",
+            Reason::ParkFollowup,
             5,
         );
-        log.record(t(2), ControlClass::KvPrefix, 1, AuditAction::Drop, "ttl", 5);
+        log.record(
+            t(2),
+            ControlClass::KvPrefix,
+            1,
+            AuditAction::Drop,
+            Reason::TtlExpired,
+            5,
+        );
         assert!(log.required_drop_violations(&serving()).is_empty());
     }
 
@@ -460,10 +632,17 @@ mod tests {
             ControlClass::KvTail,
             3,
             AuditAction::Store,
-            "admit",
+            Reason::Admit,
             5,
         );
-        log.record(t(2), ControlClass::KvTail, 3, AuditAction::Drop, "bug", 5);
+        log.record(
+            t(2),
+            ControlClass::KvTail,
+            3,
+            AuditAction::Drop,
+            Reason::NeedLapsed,
+            5,
+        );
         assert_eq!(log.required_drop_violations(&serving()), vec![1]);
     }
 
@@ -475,7 +654,7 @@ mod tests {
             ControlClass::KvTail,
             3,
             AuditAction::Store,
-            "admit",
+            Reason::Admit,
             5,
         );
         log.record(
@@ -483,13 +662,27 @@ mod tests {
             ControlClass::KvTail,
             3,
             AuditAction::Recompute,
-            "fault",
+            Reason::UncorrectableRead,
             5,
         );
-        log.record(t(2), ControlClass::KvTail, 3, AuditAction::Drop, "fault", 5);
+        log.record(
+            t(2),
+            ControlClass::KvTail,
+            3,
+            AuditAction::Drop,
+            Reason::UncorrectableRead,
+            5,
+        );
         assert!(log.required_drop_violations(&serving()).is_empty());
         // …but only for the recovered id: another id still violates.
-        log.record(t(3), ControlClass::KvTail, 4, AuditAction::Drop, "bug", 5);
+        log.record(
+            t(3),
+            ControlClass::KvTail,
+            4,
+            AuditAction::Drop,
+            Reason::NeedLapsed,
+            5,
+        );
         assert_eq!(log.required_drop_violations(&serving()), vec![3]);
     }
 
@@ -501,7 +694,7 @@ mod tests {
             ControlClass::Weights,
             0,
             AuditAction::Store,
-            "deploy",
+            Reason::Deploy,
             10,
         );
         log.record(
@@ -509,7 +702,7 @@ mod tests {
             ControlClass::Weights,
             0,
             AuditAction::Retire,
-            "redeploy",
+            Reason::Redeploy,
             10,
         );
         assert!(log.required_drop_violations(&serving()).is_empty());
@@ -523,7 +716,7 @@ mod tests {
             ControlClass::SessionState,
             9,
             AuditAction::Evict,
-            "pressure",
+            Reason::MemoryPressure,
             1,
         );
         // Empty registry: everything is treated as Required.
@@ -552,7 +745,7 @@ mod tests {
         let reg = serving();
         let mut log = AuditLog::new();
         for (i, &(class, id, action)) in script.iter().enumerate() {
-            log.record(t(i as u64), class, id, action, "script", 1);
+            log.record(t(i as u64), class, id, action, Reason::SessionKv, 1);
         }
         let full = log.required_drop_violations(&reg).len() as u64;
         assert_eq!(full, 3, "the script must exercise the oracle");
@@ -568,7 +761,7 @@ mod tests {
                         "split {split}"
                     );
                 }
-                prefix.record(t(i as u64), class, id, action, "script", 1);
+                prefix.record(t(i as u64), class, id, action, Reason::SessionKv, 1);
             }
             cursor.advance(&prefix, &reg);
             assert_eq!(cursor.violations(), full, "split {split}");
@@ -645,7 +838,7 @@ mod tests {
             ControlClass::KvPrefix,
             1,
             AuditAction::Store,
-            "park",
+            Reason::ParkFollowup,
             64,
         );
         log.record(
@@ -653,7 +846,7 @@ mod tests {
             ControlClass::KvPrefix,
             1,
             AuditAction::Refresh,
-            "scrub",
+            Reason::DeadlineRefresh,
             64,
         );
         let mut sink = SimTelemetry::new(SimDuration::from_secs(1));
@@ -669,7 +862,7 @@ mod tests {
             ControlClass::KvPrefix,
             1,
             AuditAction::Drop,
-            "ttl",
+            Reason::TtlExpired,
             64,
         );
         log.emit_telemetry(&mut sink);
@@ -693,7 +886,7 @@ mod tests {
             ControlClass::KvPrefix,
             2,
             AuditAction::Evict,
-            "pressure",
+            Reason::MemoryPressure,
             64,
         );
         assert!(log.required_drop_violations(&reg).is_empty());

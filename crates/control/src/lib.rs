@@ -23,7 +23,7 @@ pub mod policy;
 pub mod reconcile;
 pub mod registry;
 
-pub use audit::{reason, AuditAction, AuditLog, AuditRecord};
+pub use audit::{AuditAction, AuditLog, AuditRecord, Reason};
 pub use class::ControlClass;
 pub use expiry::{ExpiryAction, ExpiryTracker};
 pub use policy::{Durability, RetentionPolicy};
@@ -62,17 +62,19 @@ impl ControlPlane {
         ControlPlane::new(RetentionRegistry::serving_default(followup_window))
     }
 
-    /// Records a decision (sugar for [`AuditLog::record`]).
+    /// Records a decision (sugar for [`AuditLog::record`]). A `&str`
+    /// reason must be a [`Reason::label`]; any other string panics.
     pub fn record(
         &mut self,
         at: SimTime,
         class: ControlClass,
         id: u64,
         action: AuditAction,
-        reason: &'static str,
+        reason: impl Into<Reason>,
         bytes: u64,
     ) -> u64 {
-        self.audit.record(at, class, id, action, reason, bytes)
+        self.audit
+            .record(at, class, id, action, reason.into(), bytes)
     }
 
     /// Records the execution of a reconciler work item as its audit
@@ -115,7 +117,7 @@ impl ControlPlane {
             id,
             class,
             kind,
-            reason: reason::UNCORRECTABLE_READ,
+            reason: Reason::UncorrectableRead,
         }
     }
 
@@ -202,7 +204,7 @@ mod tests {
             id: 3,
             class: ControlClass::KvTail,
             kind: WorkKind::RecomputeDrop,
-            reason: "uncorrectable-read",
+            reason: Reason::UncorrectableRead,
         };
         cp.record_work(t(1), &item, 64);
         let recs = cp.audit.records();
@@ -232,7 +234,7 @@ mod tests {
             ControlClass::Weights,
             0,
             AuditAction::Store,
-            "deploy",
+            Reason::Deploy,
             70,
         );
         let s = cp.summary();

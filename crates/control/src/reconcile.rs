@@ -13,7 +13,7 @@
 
 use mrm_sim::time::{SimDuration, SimTime};
 
-use crate::audit::reason;
+use crate::audit::Reason;
 use crate::class::ControlClass;
 use crate::expiry::{ExpiryAction, ExpiryTracker};
 use crate::policy::Durability;
@@ -46,8 +46,8 @@ pub struct WorkItem {
     pub class: ControlClass,
     /// What to do.
     pub kind: WorkKind,
-    /// Why the reconciler emitted it (static, machine-greppable).
-    pub reason: &'static str,
+    /// Why the reconciler emitted it.
+    pub reason: Reason,
 }
 
 /// Reconciles one class of tracked objects against declared policy.
@@ -165,10 +165,10 @@ impl Reconciler {
                 }
             };
             let reason = match kind {
-                WorkKind::Refresh => "deadline-refresh",
-                WorkKind::Migrate { .. } => "long-remaining-need",
-                WorkKind::RecomputeDrop => reason::NEED_LAPSED,
-                WorkKind::Retire => reason::NEED_ENDED,
+                WorkKind::Refresh => Reason::DeadlineRefresh,
+                WorkKind::Migrate { .. } => Reason::LongRemainingNeed,
+                WorkKind::RecomputeDrop => Reason::NeedLapsed,
+                WorkKind::Retire => Reason::NeedEnded,
                 WorkKind::Refetch => unreachable!("plan never emits refetch"),
             };
             items.push(WorkItem {
@@ -202,7 +202,7 @@ impl Reconciler {
             id,
             class: self.class,
             kind,
-            reason: reason::UNCORRECTABLE_READ,
+            reason: Reason::UncorrectableRead,
         }
     }
 }

@@ -8,7 +8,7 @@
 //! the small-word baseline for that comparison.
 //!
 //! Bits are represented one-per-`u8` (values 0/1) for clarity; the codec is
-//! still fast enough to stream hundreds of MB/s in the benches.
+//! still fast enough to stream hundreds of MB/s in `perf_suite`.
 
 use crate::gather8;
 

@@ -12,8 +12,8 @@
 //! *every* class is Required), and a mixed split derived from the case
 //! itself (each class undeclared, Required or Ephemeral, so across cases
 //! the scan meets all 3^5 splits) — plus the log's structural contract:
-//! dense sequence numbers, nondecreasing sim-time, and a summary
-//! histogram that reconciles against the raw records.
+//! dense sequence numbers, nondecreasing sim-time, reasons that read
+//! back, and a summary histogram that reconciles against the raw records.
 //!
 //! Sabotage mode credits recovery records to the wrong class in the
 //! *model* — the scan and the model then disagree about which later
@@ -22,7 +22,7 @@
 use crate::engine::FuzzTarget;
 use crate::rng::FuzzRng;
 use mrm_control::{
-    AuditAction, AuditLog, ControlClass, Durability, RetentionPolicy, RetentionRegistry,
+    AuditAction, AuditLog, ControlClass, Durability, Reason, RetentionPolicy, RetentionRegistry,
 };
 use mrm_sim::time::{SimDuration, SimTime, NANOS_PER_SEC};
 use std::collections::BTreeSet;
@@ -271,8 +271,9 @@ impl FuzzTarget for ControlTarget {
         let mut expect_mixed: Vec<u64> = Vec::new();
         let mut histogram = [0u64; 9];
         let mut times: Vec<SimTime> = Vec::new();
+        let mut reasons: Vec<Reason> = Vec::new();
 
-        for op in ops {
+        for (op_index, op) in ops.iter().enumerate() {
             match op {
                 ControlOp::Advance { secs } => {
                     // Saturate the secs→nanos conversion too: the corpus
@@ -289,7 +290,11 @@ impl FuzzTarget for ControlTarget {
                 } => {
                     let class = class_of(*class_idx);
                     let action = action_of(*action_idx);
-                    let seq = log.record(now, class, *id, action, "fuzz-stream", *bytes);
+                    // Cycle through every reason by position, so the case
+                    // generator draws nothing extra.
+                    let all = Reason::all();
+                    let reason = all[op_index % all.len()];
+                    let seq = log.record(now, class, *id, action, reason, *bytes);
                     if is_recovery(action) {
                         let credit = if self.sabotage {
                             // Documented sabotage: the model credits the
@@ -314,6 +319,7 @@ impl FuzzTarget for ControlTarget {
                     }
                     histogram[idx_of(action)] += 1;
                     times.push(now);
+                    reasons.push(reason);
                 }
             }
         }
@@ -343,7 +349,7 @@ impl FuzzTarget for ControlTarget {
         }
 
         // Structural contract: dense seqs, the recorded (nondecreasing)
-        // timeline, a reconciling histogram.
+        // timeline and reasons, a reconciling histogram.
         if log.len() != times.len() {
             return Err(format!(
                 "log has {} records, model counted {}",
@@ -359,6 +365,12 @@ impl FuzzTarget for ControlTarget {
                 return Err(format!(
                     "record {i} at {:?}, model logged {:?}",
                     r.at, times[i]
+                ));
+            }
+            if r.reason != reasons[i] {
+                return Err(format!(
+                    "record {i} reads back reason {:?}, model logged {:?}",
+                    r.reason, reasons[i]
                 ));
             }
             if i > 0 && log.records()[i - 1].at > r.at {

@@ -14,11 +14,12 @@
 //! token throughput, and per-bit energy differences into J/token.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 use mrm_control::expiry::{consumed_age, rearm_deadline};
 use mrm_control::registry::retention_decision;
 use mrm_control::{
-    reason, AuditAction, AuditLog, ControlClass, ControlPlane, ControlSummary, Reconciler,
+    AuditAction, AuditLog, ControlClass, ControlPlane, ControlSummary, Reason, Reconciler,
     WorkItem, WorkKind,
 };
 use mrm_device::cell::RetentionTradeoff;
@@ -111,62 +112,139 @@ pub struct ClusterConfig {
     pub seed: u64,
 }
 
+/// Why [`ClusterConfig::validate`] rejected a configuration: one variant
+/// per check, in the order the checks run. `Display` gives the message.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ConfigError {
+    /// `accelerators` is 0.
+    NoAccelerators,
+    /// `max_batch` is 0.
+    NoBatchSlots,
+    /// `arrivals_per_s` is NaN, infinite or negative.
+    ArrivalRate(f64),
+    /// `hbm_stacks` is 0.
+    NoHbm,
+    /// The tier the policy builds beside HBM has no devices.
+    NoAltDevices {
+        /// The tier beside HBM.
+        tier: TierKind,
+        /// The policy that builds it.
+        policy: PlacementPolicy,
+    },
+    /// The model weights are empty or larger than their tier.
+    WeightsDoNotFit {
+        /// Weight bytes.
+        weights: u64,
+        /// The tier the policy places weights on.
+        tier: TierKind,
+        /// That tier's capacity in bytes.
+        capacity: u64,
+        /// That tier's device count per accelerator.
+        devices: u32,
+        /// The configured policy.
+        policy: PlacementPolicy,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ConfigError::NoAccelerators => f.write_str(
+                "accelerators must be at least 1 (requests are \
+                 round-robined across accelerators)",
+            ),
+            ConfigError::NoBatchSlots => f.write_str(
+                "max_batch must be at least 1 (no request could ever \
+                 be admitted to a decode iteration)",
+            ),
+            ConfigError::ArrivalRate(rate) => write!(
+                f,
+                "arrivals_per_s must be finite and non-negative, got {rate}"
+            ),
+            ConfigError::NoHbm => {
+                f.write_str("hbm_stacks must be at least 1 (activations always live in HBM)")
+            }
+            ConfigError::NoAltDevices { tier, policy } => write!(
+                f,
+                "{} must be at least 1 for the {} policy",
+                device_field(tier),
+                policy.label()
+            ),
+            ConfigError::WeightsDoNotFit {
+                weights,
+                tier,
+                capacity,
+                devices,
+                policy,
+            } => write!(
+                f,
+                "model weights ({weights} B) must be non-empty and fit the {} tier \
+                 ({capacity} B on {devices} devices) for the {} policy",
+                tier.label(),
+                policy.label()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// The config field sizing a tier kind.
+fn device_field(kind: TierKind) -> &'static str {
+    match kind {
+        TierKind::Hbm => "hbm_stacks",
+        TierKind::Lpddr => "lpddr_packages",
+        TierKind::Mrm => "mrm_packages",
+    }
+}
+
 impl ClusterConfig {
     /// Checks the configuration for values the simulator cannot run with.
     ///
-    /// Returns a human-readable description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns the first problem found.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.accelerators == 0 {
-            return Err("accelerators must be at least 1 (requests are \
-                        round-robined across accelerators)"
-                .to_string());
+            return Err(ConfigError::NoAccelerators);
         }
         if self.max_batch == 0 {
-            return Err("max_batch must be at least 1 (no request could ever \
-                        be admitted to a decode iteration)"
-                .to_string());
+            return Err(ConfigError::NoBatchSlots);
         }
         if !(self.arrivals_per_s.is_finite() && self.arrivals_per_s >= 0.0) {
-            return Err(format!(
-                "arrivals_per_s must be finite and non-negative, got {}",
-                self.arrivals_per_s
-            ));
+            return Err(ConfigError::ArrivalRate(self.arrivals_per_s));
         }
         if self.hbm_stacks == 0 {
-            return Err("hbm_stacks must be at least 1 (activations always \
-                        live in HBM)"
-                .to_string());
+            return Err(ConfigError::NoHbm);
         }
-        if let Some((alt_name, 0)) = self.alt_tier().map(|k| self.devices(k)) {
-            return Err(format!(
-                "{alt_name} must be at least 1 for the {} policy",
-                self.policy.label()
-            ));
+        if let Some(tier) = self.alt_tier().filter(|&k| self.devices(k) == 0) {
+            return Err(ConfigError::NoAltDevices {
+                tier,
+                policy: self.policy,
+            });
         }
-        let kind = self.policy.tier_for(DataClass::Weights);
-        let (_, devices) = self.devices(kind);
-        let capacity = tier_tech(kind)
+        let tier = self.policy.tier_for(DataClass::Weights);
+        let devices = self.devices(tier);
+        let capacity = tier_tech(tier)
             .capacity_bytes
             .saturating_mul(u64::from(devices));
         let weights = self.model.weights_bytes(self.quant);
         if weights == 0 || weights > capacity {
-            return Err(format!(
-                "model weights ({weights} B) must be non-empty and fit the {} tier \
-                 ({capacity} B on {devices} devices) for the {} policy",
-                kind.label(),
-                self.policy.label()
-            ));
+            return Err(ConfigError::WeightsDoNotFit {
+                weights,
+                tier,
+                capacity,
+                devices,
+                policy: self.policy,
+            });
         }
         Ok(())
     }
 
-    /// The config field sizing a tier kind, and its device count per
-    /// accelerator.
-    fn devices(&self, kind: TierKind) -> (&'static str, u32) {
+    /// A tier kind's device count per accelerator.
+    fn devices(&self, kind: TierKind) -> u32 {
         match kind {
-            TierKind::Hbm => ("hbm_stacks", self.hbm_stacks),
-            TierKind::Lpddr => ("lpddr_packages", self.lpddr_packages),
-            TierKind::Mrm => ("mrm_packages", self.mrm_packages),
+            TierKind::Hbm => self.hbm_stacks,
+            TierKind::Lpddr => self.lpddr_packages,
+            TierKind::Mrm => self.mrm_packages,
         }
     }
 
@@ -560,11 +638,11 @@ impl Decisions {
                     self.migration_bytes += r.bytes;
                 }
                 (AuditAction::Recompute, _) => {
-                    self.kv_recomputes += u64::from(r.reason == reason::UNCORRECTABLE_READ);
+                    self.kv_recomputes += u64::from(r.reason == Reason::UncorrectableRead);
                 }
                 (AuditAction::Retire, ControlClass::Weights) => self.redeploys += 1,
                 (AuditAction::Drop | AuditAction::Retire, ControlClass::KvPrefix)
-                    if matches!(r.reason, reason::NEED_LAPSED | reason::NEED_ENDED) =>
+                    if matches!(r.reason, Reason::NeedLapsed | Reason::NeedEnded) =>
                 {
                     self.drops += 1;
                 }
@@ -582,7 +660,7 @@ fn audit_detail(log: &AuditLog, seq: u64, required: bool) -> (u64, Detail) {
     let r = &log.records()[seq as usize];
     let detail = Detail {
         bytes: r.bytes,
-        reason: r.reason,
+        reason: r.reason.label(),
         audit_seq: Some(seq),
         required,
     };
@@ -679,7 +757,7 @@ impl<'t> ClusterSim<'t> {
         let alloc_hint = cfg.max_batch as usize * 8;
         let weights_native_retention = tier_tech(cfg.policy.tier_for(DataClass::Weights)).retention;
         let tier =
-            |kind| Tier::with_capacity_hint(kind, tier_tech(kind), cfg.devices(kind).1, alloc_hint);
+            |kind| Tier::with_capacity_hint(kind, tier_tech(kind), cfg.devices(kind), alloc_hint);
         let accels: Vec<Accel> = (0..cfg.accelerators)
             .map(|_| {
                 let mut acc = Accel {
@@ -772,7 +850,7 @@ impl<'t> ClusterSim<'t> {
                 ControlClass::Weights,
                 acc,
                 AuditAction::Store,
-                "deploy",
+                Reason::Deploy,
                 weights_bytes,
             );
         }
@@ -1000,7 +1078,7 @@ impl<'t> ClusterSim<'t> {
                 subject,
                 Detail {
                     bytes,
-                    reason: reason::UNCORRECTABLE_READ,
+                    reason: Reason::UncorrectableRead.label(),
                     audit_seq: None,
                     required: false,
                 },
@@ -1348,7 +1426,7 @@ impl<'t> ClusterSim<'t> {
                             ControlClass::KvPrefix,
                             ctx,
                             AuditAction::Retire,
-                            "followup-consumed",
+                            Reason::FollowupConsumed,
                             c.kv_bytes,
                         );
                         consumed = Some(seq);
@@ -1393,7 +1471,7 @@ impl<'t> ClusterSim<'t> {
                                         ControlClass::KvPrefix,
                                         v,
                                         AuditAction::Evict,
-                                        "memory-pressure",
+                                        Reason::MemoryPressure,
                                         c.kv_bytes,
                                     );
                                     if self.obs.is_some() {
@@ -1436,7 +1514,7 @@ impl<'t> ClusterSim<'t> {
                             ControlClass::KvPrefix,
                             ctx,
                             AuditAction::Store,
-                            "stall-putback",
+                            Reason::StallPutback,
                             base_bytes,
                         );
                         self.obs_prefix_begin(now, acc, seq);
@@ -1456,9 +1534,9 @@ impl<'t> ClusterSim<'t> {
                 req,
                 AuditAction::Store,
                 if reuse.is_some() {
-                    "followup-admit"
+                    Reason::FollowupAdmit
                 } else {
-                    "admit"
+                    Reason::Admit
                 },
                 need,
             );
@@ -1629,7 +1707,7 @@ impl<'t> ClusterSim<'t> {
                 ControlClass::KvTail,
                 r.req,
                 AuditAction::Retire,
-                "completed",
+                Reason::Completed,
                 r.kv_bytes,
             );
             let ctx = self.next_ctx;
@@ -1639,7 +1717,7 @@ impl<'t> ClusterSim<'t> {
                 ControlClass::KvPrefix,
                 ctx,
                 AuditAction::Store,
-                "park-followup",
+                Reason::ParkFollowup,
                 r.kv_bytes,
             );
             let deadline = if policy.uses_mrm() {
@@ -1740,9 +1818,9 @@ impl<'t> ClusterSim<'t> {
                     class: ControlClass::KvPrefix,
                     kind: WorkKind::RecomputeDrop,
                     reason: if hit_survived {
-                        "retention-lapsed"
+                        Reason::RetentionLapsed
                     } else {
-                        reason::UNCORRECTABLE_READ
+                        Reason::UncorrectableRead
                     },
                 };
                 let seq = self.control.record_work(now, &item, bytes);
@@ -1770,7 +1848,7 @@ impl<'t> ClusterSim<'t> {
                     ControlClass::KvPrefix,
                     ctx,
                     AuditAction::Recompute,
-                    "already-evicted",
+                    Reason::AlreadyEvicted,
                     0,
                 );
                 let _ = self.obs_recovery(now, acc, seq, false, None);
@@ -1811,7 +1889,7 @@ impl<'t> ClusterSim<'t> {
                 ControlClass::KvPrefix,
                 ctx,
                 AuditAction::Drop,
-                "ttl-expired",
+                Reason::TtlExpired,
                 bytes,
             );
             let _ = self.obs_prefix_end(now, acc, SpanKind::Drop, seq, false);
@@ -1893,7 +1971,7 @@ impl<'t> ClusterSim<'t> {
                                 ControlClass::KvPrefix,
                                 ctx,
                                 AuditAction::Escalate,
-                                "scrub-verify-failed",
+                                Reason::ScrubVerifyFailed,
                                 bytes,
                             );
                             self.obs_work(now, acc, SpanKind::Migrate, seq, fault);
@@ -1979,7 +2057,7 @@ impl<'t> ClusterSim<'t> {
             ControlClass::Weights,
             acc as u64,
             AuditAction::Retire,
-            "superseded",
+            Reason::Superseded,
             weights_bytes,
         );
         let seq = self.control.record(
@@ -1987,7 +2065,7 @@ impl<'t> ClusterSim<'t> {
             ControlClass::Weights,
             acc as u64,
             AuditAction::Store,
-            "redeploy",
+            Reason::Redeploy,
             weights_bytes,
         );
         self.obs_work(now, acc, SpanKind::Redeploy, seq, None);
@@ -2627,29 +2705,97 @@ mod tests {
 
         let mut cfg = ok.clone();
         cfg.accelerators = 0;
-        assert!(cfg.validate().unwrap_err().contains("accelerators"));
+        assert_eq!(cfg.validate(), Err(ConfigError::NoAccelerators));
 
         let mut cfg = ok.clone();
         cfg.max_batch = 0;
-        assert!(cfg.validate().unwrap_err().contains("max_batch"));
+        assert_eq!(cfg.validate(), Err(ConfigError::NoBatchSlots));
 
         let mut cfg = ok.clone();
         cfg.arrivals_per_s = f64::NAN;
-        assert!(cfg.validate().unwrap_err().contains("arrivals_per_s"));
+        assert!(matches!(cfg.validate(), Err(ConfigError::ArrivalRate(r)) if r.is_nan()));
+
+        let mut cfg = ok.clone();
+        cfg.hbm_stacks = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::NoHbm));
 
         let mut cfg = ok.clone();
         cfg.mrm_packages = 0;
-        assert!(cfg.validate().unwrap_err().contains("mrm_packages"));
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::NoAltDevices {
+                tier: TierKind::Mrm,
+                policy: PlacementPolicy::HbmMrm
+            })
+        );
 
         let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmLpddr, 2, 8.0);
         cfg.lpddr_packages = 0;
-        assert!(cfg.validate().unwrap_err().contains("lpddr_packages"));
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::NoAltDevices {
+                tier: TierKind::Lpddr,
+                policy: PlacementPolicy::HbmLpddr
+            })
+        );
 
         // Sized for MRM, then switched to HBM-only: 140 GB of weights
         // cannot fit 2 x 24 GB of HBM.
         let mut cfg = ok.clone();
         cfg.policy = PlacementPolicy::HbmOnly;
-        assert!(cfg.validate().unwrap_err().contains("weights"));
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::WeightsDoNotFit {
+                tier: TierKind::Hbm,
+                devices: 2,
+                policy: PlacementPolicy::HbmOnly,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn config_errors_print_their_messages() {
+        let cases = [
+            (
+                ConfigError::NoAccelerators,
+                "accelerators must be at least 1 (requests are round-robined across accelerators)",
+            ),
+            (
+                ConfigError::NoBatchSlots,
+                "max_batch must be at least 1 (no request could ever be admitted to a decode \
+                 iteration)",
+            ),
+            (
+                ConfigError::ArrivalRate(-1.5),
+                "arrivals_per_s must be finite and non-negative, got -1.5",
+            ),
+            (
+                ConfigError::NoHbm,
+                "hbm_stacks must be at least 1 (activations always live in HBM)",
+            ),
+            (
+                ConfigError::NoAltDevices {
+                    tier: TierKind::Lpddr,
+                    policy: PlacementPolicy::HbmLpddr,
+                },
+                "lpddr_packages must be at least 1 for the HBM+LPDDR policy",
+            ),
+            (
+                ConfigError::WeightsDoNotFit {
+                    weights: 7,
+                    tier: TierKind::Hbm,
+                    capacity: 5,
+                    devices: 1,
+                    policy: PlacementPolicy::HbmOnly,
+                },
+                "model weights (7 B) must be non-empty and fit the HBM tier (5 B on 1 devices) \
+                 for the HBM-only policy",
+            ),
+        ];
+        for (err, msg) in cases {
+            assert_eq!(err.to_string(), msg);
+        }
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub mod prefix;
 pub mod tier;
 pub mod wear;
 
-pub use cluster::{run_cluster, ClusterConfig, ClusterReport, ClusterSim, FaultSummary};
+pub use cluster::{
+    run_cluster, ClusterConfig, ClusterReport, ClusterSim, ConfigError, FaultSummary,
+};
 pub use lifetime::LifetimeEstimator;
 pub use placement::PlacementPolicy;
 pub use tier::{Tier, TierKind};

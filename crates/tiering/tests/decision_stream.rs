@@ -7,7 +7,7 @@
 //! every kind of decision they must agree with a fold over the log written
 //! here, independently of the simulator's own fold.
 
-use mrm_control::{AuditAction, AuditLog, AuditRecord, ControlClass};
+use mrm_control::{AuditAction, AuditLog, AuditRecord, ControlClass, Reason};
 use mrm_faults::FaultConfig;
 use mrm_obs::{Obs, SpanKind};
 use mrm_sim::time::SimDuration;
@@ -106,7 +106,7 @@ fn report_counters_equal_a_fold_over_the_audit_log() {
     assert_eq!(
         report.faults.kv_recomputes,
         count(a, |r| r.action == AuditAction::Recompute
-            && r.reason == "uncorrectable-read")
+            && r.reason == Reason::UncorrectableRead)
     );
     assert_eq!(
         report.faults.weight_refetches,
@@ -123,7 +123,7 @@ fn report_counters_equal_a_fold_over_the_audit_log() {
             r.action,
             AuditAction::Drop | AuditAction::Retire
         ) && r.class == ControlClass::KvPrefix
-            && matches!(r.reason, "need-lapsed" | "need-ended"))
+            && matches!(r.reason, Reason::NeedLapsed | Reason::NeedEnded))
     );
 }
 
@@ -252,7 +252,7 @@ fn trace_decision_spans_match_audit_counts() {
         a.count(AuditAction::Refetch)
             + a.count(AuditAction::Escalate)
             + count(a, |r| r.action == AuditAction::Recompute
-                && r.reason == "uncorrectable-read")
+                && r.reason == Reason::UncorrectableRead)
     );
 }
 
@@ -265,7 +265,12 @@ fn every_audited_span_carries_its_records_subject_reason_and_bytes() {
             continue;
         };
         let r = &audit.records()[seq as usize];
-        assert_eq!(s.detail.reason, r.reason, "{:?} span at seq {seq}", s.kind);
+        assert_eq!(
+            s.detail.reason,
+            r.reason.label(),
+            "{:?} span at seq {seq}",
+            s.kind
+        );
         assert_eq!(s.detail.bytes, r.bytes, "{:?} span at seq {seq}", s.kind);
         assert_eq!(s.subject, r.id, "{:?} span at seq {seq}", s.kind);
         audited += 1;
@@ -279,5 +284,7 @@ fn every_audited_span_carries_its_records_subject_reason_and_bytes() {
         .filter(|s| s.kind == SpanKind::Redeploy)
         .collect();
     assert!(!redeploys.is_empty());
-    assert!(redeploys.iter().all(|s| s.detail.reason == "redeploy"));
+    assert!(redeploys
+        .iter()
+        .all(|s| s.detail.reason == Reason::Redeploy.label()));
 }
