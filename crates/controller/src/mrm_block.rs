@@ -20,6 +20,21 @@
 //!   levelling;
 //! * **no** internal refresh, GC, or wear-levelling machinery at all —
 //!   that absence is the point, and the energy ledger shows it.
+//!
+//! The two selection queries the control plane runs on every zone
+//! rotation read ordered indexes instead of scanning the zones:
+//!
+//! * **empty zones by `(write_cycles, index)`** — the first entry is the
+//!   least-worn zone;
+//! * **open and full zones by `(deadline, index)`** — the expiry work
+//!   list is a prefix of it.
+//!
+//! Both break ties by the lowest zone index. Each index is a sorted
+//! `Vec`: an update is a binary search plus one move of at most
+//! `zone_count` entries, and the expiry list is copied out of one
+//! contiguous prefix. Every change to a zone's state, deadline or write
+//! cycles goes through one helper that moves the zone between the
+//! indexes.
 
 use mrm_device::device::{DeviceError, MemoryDevice, OpResult};
 use mrm_device::energy::EnergyBreakdown;
@@ -105,6 +120,38 @@ impl Zone {
             write_cycles: 0,
         }
     }
+
+    /// Where the zone sits in the controller's selection indexes.
+    fn slot(&self) -> Slot {
+        match self.state {
+            ZoneState::Empty => Slot::Empty(self.write_cycles),
+            ZoneState::Open | ZoneState::Full => Slot::Written(self.deadline),
+            ZoneState::Retired => Slot::Retired,
+        }
+    }
+}
+
+/// A zone's index key: empty zones by wear, written zones by deadline,
+/// retired zones in neither index.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Empty(u64),
+    Written(SimTime),
+    Retired,
+}
+
+/// Inserts `key` into the sorted `v`.
+fn insert_sorted<K: Ord>(v: &mut Vec<K>, key: K) {
+    let at = v.binary_search(&key).unwrap_or_else(|at| at);
+    v.insert(at, key);
+}
+
+/// Removes `key` from the sorted `v`.
+fn remove_sorted<K: Ord>(v: &mut Vec<K>, key: K) {
+    let at = v
+        .binary_search(&key)
+        .expect("a zone is indexed under its current key");
+    v.remove(at);
 }
 
 /// The lightweight block-level MRM controller.
@@ -129,6 +176,10 @@ pub struct MrmBlockController {
     device: MemoryDevice,
     zone_bytes: u64,
     zones: Vec<Zone>,
+    /// Empty zones by `(write_cycles, index)`: the first is the least worn.
+    empty_by_wear: Vec<(u64, u32)>,
+    /// Open and full zones by `(deadline, index)`: the expiry work list.
+    written_by_deadline: Vec<(SimTime, u32)>,
     /// Software-initiated scrub (in-place rewrite) operations completed.
     scrub_ops: u64,
     /// Bytes rewritten by scrubs.
@@ -178,6 +229,8 @@ impl MrmBlockController {
             device,
             zone_bytes,
             zones: (0..n).map(|_| Zone::new()).collect(),
+            empty_by_wear: (0..n).map(|i| (0, i as u32)).collect(),
+            written_by_deadline: Vec::new(),
             scrub_ops: 0,
             scrub_bytes: 0,
             faults: None,
@@ -258,10 +311,31 @@ impl MrmBlockController {
         self.zones.get(z.0 as usize).ok_or(ZoneError::InvalidZone)
     }
 
-    fn zone_mut(&mut self, z: ZoneId) -> Result<&mut Zone, ZoneError> {
-        self.zones
-            .get_mut(z.0 as usize)
-            .ok_or(ZoneError::InvalidZone)
+    /// Applies `f` to zone `z` (which must exist) and moves the zone
+    /// between the selection indexes if its key changed. Every change to
+    /// a zone's state, deadline or write cycles goes through here.
+    fn update(&mut self, z: ZoneId, f: impl FnOnce(&mut Zone)) {
+        let zone = &mut self.zones[z.0 as usize];
+        let before = zone.slot();
+        f(zone);
+        let after = zone.slot();
+        if before == after {
+            return;
+        }
+        match before {
+            Slot::Empty(cycles) => remove_sorted(&mut self.empty_by_wear, (cycles, z.0)),
+            Slot::Written(deadline) => {
+                remove_sorted(&mut self.written_by_deadline, (deadline, z.0))
+            }
+            Slot::Retired => {}
+        }
+        match after {
+            Slot::Empty(cycles) => insert_sorted(&mut self.empty_by_wear, (cycles, z.0)),
+            Slot::Written(deadline) => {
+                insert_sorted(&mut self.written_by_deadline, (deadline, z.0))
+            }
+            Slot::Retired => {}
+        }
     }
 
     fn base(&self, z: ZoneId) -> u64 {
@@ -276,24 +350,19 @@ impl MrmBlockController {
             .iter()
             .position(|zn| zn.state == ZoneState::Empty)
             .ok_or(ZoneError::NoEmptyZones)?;
-        self.zones[idx].state = ZoneState::Open;
-        Ok(ZoneId(idx as u32))
+        let z = ZoneId(idx as u32);
+        self.update(z, |zn| zn.state = ZoneState::Open);
+        Ok(z)
     }
 
-    /// Opens the empty zone with the fewest write cycles — the software
-    /// wear-levelling primitive (§4: wear-levelling "left up to a software
-    /// control plane").
+    /// Opens the empty zone with the fewest write cycles, the lowest index
+    /// among equals — the software wear-levelling primitive (§4:
+    /// wear-levelling "left up to a software control plane").
     pub fn open_zone_least_worn(&mut self) -> Result<ZoneId, ZoneError> {
-        let idx = self
-            .zones
-            .iter()
-            .enumerate()
-            .filter(|(_, zn)| zn.state == ZoneState::Empty)
-            .min_by_key(|(_, zn)| zn.write_cycles)
-            .map(|(i, _)| i)
-            .ok_or(ZoneError::NoEmptyZones)?;
-        self.zones[idx].state = ZoneState::Open;
-        Ok(ZoneId(idx as u32))
+        let &(_, idx) = self.empty_by_wear.first().ok_or(ZoneError::NoEmptyZones)?;
+        let z = ZoneId(idx);
+        self.update(z, |zn| zn.state = ZoneState::Open);
+        Ok(z)
     }
 
     /// Appends `bytes` to an open zone, programming the cells for
@@ -307,27 +376,30 @@ impl MrmBlockController {
     ) -> Result<OpResult, ZoneError> {
         let zone_bytes = self.zone_bytes;
         let base = self.base(z);
-        let zone = self.zone_mut(z)?;
+        let zone = self.zone(z)?;
         if zone.state == ZoneState::Retired {
             return Err(ZoneError::ZoneRetired);
         }
         if zone.state != ZoneState::Open {
             return Err(ZoneError::NotOpen);
         }
-        if zone.write_ptr + bytes > zone_bytes {
-            return Err(ZoneError::ZoneOverflow);
-        }
+        let end = zone
+            .write_ptr
+            .checked_add(bytes)
+            .filter(|&end| end <= zone_bytes)
+            .ok_or(ZoneError::ZoneOverflow)?;
         let addr = base + zone.write_ptr;
         let deadline = now.saturating_add(retention);
         let res = self
             .device
             .write_with_retention(now, addr, bytes, retention)?;
-        let zone = self.zone_mut(z)?;
-        zone.write_ptr += bytes;
-        zone.deadline = zone.deadline.min(deadline);
-        if zone.write_ptr == zone_bytes {
-            zone.state = ZoneState::Full;
-        }
+        self.update(z, |zone| {
+            zone.write_ptr = end;
+            zone.deadline = zone.deadline.min(deadline);
+            if end == zone_bytes {
+                zone.state = ZoneState::Full;
+            }
+        });
         Ok(res)
     }
 
@@ -349,7 +421,10 @@ impl MrmBlockController {
         if zone.state == ZoneState::Empty {
             return Err(ZoneError::NotOpen);
         }
-        if offset + len > zone.write_ptr {
+        if offset
+            .checked_add(len)
+            .is_none_or(|end| end > zone.write_ptr)
+        {
             return Err(ZoneError::ReadBeyondWritePointer);
         }
         Ok(self.device.read(now, base + offset, len)?)
@@ -429,23 +504,23 @@ impl MrmBlockController {
     /// Permanently takes a zone out of service. Retired zones reject every
     /// operation and are excluded from zone selection and expiry scans.
     pub fn retire_zone(&mut self, z: ZoneId) -> Result<(), ZoneError> {
-        let zone = self.zone_mut(z)?;
-        if zone.state == ZoneState::Retired {
+        if self.zone(z)?.state == ZoneState::Retired {
             return Ok(());
         }
-        zone.state = ZoneState::Retired;
-        zone.deadline = SimTime::MAX;
+        self.update(z, |zone| {
+            zone.state = ZoneState::Retired;
+            zone.deadline = SimTime::MAX;
+        });
         self.zones_retired += 1;
         Ok(())
     }
 
     /// Marks an open zone full (no further appends).
     pub fn finish_zone(&mut self, z: ZoneId) -> Result<(), ZoneError> {
-        let zone = self.zone_mut(z)?;
-        if zone.state != ZoneState::Open {
+        if self.zone(z)?.state != ZoneState::Open {
             return Err(ZoneError::NotOpen);
         }
-        zone.state = ZoneState::Full;
+        self.update(z, |zone| zone.state = ZoneState::Full);
         Ok(())
     }
 
@@ -453,33 +528,31 @@ impl MrmBlockController {
     /// A reset of a written zone completes one reuse cycle, which is what
     /// the software wear-leveller counts.
     pub fn reset_zone(&mut self, z: ZoneId) -> Result<(), ZoneError> {
-        let zone = self.zone_mut(z)?;
-        if zone.state == ZoneState::Retired {
+        if self.zone(z)?.state == ZoneState::Retired {
             return Err(ZoneError::ZoneRetired);
         }
-        if zone.write_ptr > 0 {
-            zone.write_cycles += 1;
-        }
-        zone.state = ZoneState::Empty;
-        zone.write_ptr = 0;
-        zone.deadline = SimTime::MAX;
+        self.update(z, |zone| {
+            if zone.write_ptr > 0 {
+                zone.write_cycles += 1;
+            }
+            zone.state = ZoneState::Empty;
+            zone.write_ptr = 0;
+            zone.deadline = SimTime::MAX;
+        });
         Ok(())
     }
 
-    /// Zones whose earliest retention deadline falls before `horizon`,
-    /// soonest first — the control plane's scrub/migrate/drop work list.
+    /// Open and full zones whose earliest retention deadline is at or
+    /// before `horizon`, soonest first and the lowest index among equal
+    /// deadlines — the control plane's scrub/migrate/drop work list.
     pub fn zones_expiring_before(&self, horizon: SimTime) -> Vec<(ZoneId, SimTime)> {
-        let mut v: Vec<(ZoneId, SimTime)> = self
-            .zones
+        let n = self
+            .written_by_deadline
+            .partition_point(|&(deadline, _)| deadline <= horizon);
+        self.written_by_deadline[..n]
             .iter()
-            .enumerate()
-            .filter(|(_, zn)| {
-                !matches!(zn.state, ZoneState::Empty | ZoneState::Retired) && zn.deadline <= horizon
-            })
-            .map(|(i, zn)| (ZoneId(i as u32), zn.deadline))
-            .collect();
-        v.sort_by_key(|&(_, d)| d);
-        v
+            .map(|&(deadline, idx)| (ZoneId(idx), deadline))
+            .collect()
     }
 
     /// Scrubs a zone: rewrites its contents in place with a fresh
@@ -507,9 +580,10 @@ impl MrmBlockController {
             return Ok(0);
         }
         let bytes = self.device.refresh_range(now, base, written)?;
-        let zone = self.zone_mut(z)?;
-        zone.deadline = now.saturating_add(retention);
-        zone.write_cycles += 1;
+        self.update(z, |zone| {
+            zone.deadline = now.saturating_add(retention);
+            zone.write_cycles += 1;
+        });
         self.scrub_ops += 1;
         self.scrub_bytes += bytes;
         Ok(bytes)
@@ -910,6 +984,190 @@ mod tests {
         );
         assert!(r.gauge_value("mrm_fault_raw_ber").unwrap() > 0.0);
         assert_eq!(r.gauge_value("mrm_zones_retired_now"), Some(0.0));
+    }
+
+    #[test]
+    fn overflowing_append_length_is_zone_overflow() {
+        let mut c = ctrl();
+        let z = c.open_zone().unwrap();
+        let hour = SimDuration::from_hours(1);
+        c.append(SimTime::ZERO, z, 1000, hour).unwrap();
+        // `write_ptr + bytes` does not fit in a u64.
+        assert_eq!(
+            c.append(SimTime::ZERO, z, u64::MAX, hour).unwrap_err(),
+            ZoneError::ZoneOverflow
+        );
+        assert_eq!(c.write_pointer(z).unwrap(), 1000);
+    }
+
+    #[test]
+    fn overflowing_read_range_is_beyond_write_pointer() {
+        let mut c = ctrl();
+        let z = c.open_zone().unwrap();
+        let hour = SimDuration::from_hours(1);
+        c.append(SimTime::ZERO, z, 1000, hour).unwrap();
+        // `offset + len` does not fit in a u64.
+        assert_eq!(
+            c.read(SimTime::ZERO, z, u64::MAX, 2).unwrap_err(),
+            ZoneError::ReadBeyondWritePointer
+        );
+        assert_eq!(
+            c.read_checked(SimTime::ZERO, z, u64::MAX, 2, hour)
+                .unwrap_err(),
+            ZoneError::ReadBeyondWritePointer
+        );
+    }
+
+    #[test]
+    fn equal_write_cycles_go_to_the_lowest_index() {
+        let mut c = ctrl();
+        // A fresh controller is all ties at zero cycles.
+        for i in 0..16 {
+            assert_eq!(c.open_zone_least_worn().unwrap(), ZoneId(i));
+        }
+        // Wear three zones once each, freed in descending-index order.
+        for i in [12, 9, 3] {
+            let z = ZoneId(i);
+            c.append(SimTime::ZERO, z, 1000, SimDuration::from_hours(1))
+                .unwrap();
+            c.reset_zone(z).unwrap();
+        }
+        for i in [3, 9, 12] {
+            assert_eq!(c.open_zone_least_worn().unwrap(), ZoneId(i));
+        }
+        assert_eq!(
+            c.open_zone_least_worn().unwrap_err(),
+            ZoneError::NoEmptyZones
+        );
+    }
+
+    #[test]
+    fn equal_deadlines_go_to_the_lowest_index() {
+        let mut c = ctrl();
+        for _ in 0..8 {
+            c.open_zone().unwrap();
+        }
+        let t0 = SimTime::ZERO;
+        let hour = SimDuration::from_hours(1);
+        // Stamped in descending-index order with one shared deadline, plus
+        // one earlier deadline on the highest index.
+        for i in [7, 5, 2] {
+            c.append(t0, ZoneId(i), 1000, hour).unwrap();
+        }
+        c.append(t0, ZoneId(6), 1000, SimDuration::from_mins(10))
+            .unwrap();
+        let d = t0 + hour;
+        assert_eq!(
+            c.zones_expiring_before(d),
+            vec![
+                (ZoneId(6), t0 + SimDuration::from_mins(10)),
+                (ZoneId(2), d),
+                (ZoneId(5), d),
+                (ZoneId(7), d),
+            ]
+        );
+        // Open zones with no appends carry `SimTime::MAX` and join the
+        // list only at that horizon, in index order.
+        let all = c.zones_expiring_before(SimTime::MAX);
+        let tail: Vec<_> = all[4..].iter().map(|&(z, d)| (z.0, d)).collect();
+        assert_eq!(
+            tail,
+            [0, 1, 3, 4].map(|i| (i, SimTime::MAX)).to_vec(),
+            "{all:?}"
+        );
+    }
+
+    /// The scan-and-stable-sort the expiry index replaced.
+    fn naive_expiring(c: &MrmBlockController, horizon: SimTime) -> Vec<(ZoneId, SimTime)> {
+        let mut v: Vec<(ZoneId, SimTime)> = c
+            .zones
+            .iter()
+            .enumerate()
+            .filter(|(_, zn)| {
+                matches!(zn.state, ZoneState::Open | ZoneState::Full) && zn.deadline <= horizon
+            })
+            .map(|(i, zn)| (ZoneId(i as u32), zn.deadline))
+            .collect();
+        v.sort_by_key(|&(_, d)| d);
+        v
+    }
+
+    /// The first-minimum scan the wear index replaced.
+    fn naive_least_worn(c: &MrmBlockController) -> Option<ZoneId> {
+        c.zones
+            .iter()
+            .enumerate()
+            .filter(|(_, zn)| zn.state == ZoneState::Empty)
+            .min_by_key(|(_, zn)| zn.write_cycles)
+            .map(|(i, _)| ZoneId(i as u32))
+    }
+
+    fn naive_lowest_empty(c: &MrmBlockController) -> Option<ZoneId> {
+        c.zones
+            .iter()
+            .position(|zn| zn.state == ZoneState::Empty)
+            .map(|i| ZoneId(i as u32))
+    }
+
+    #[test]
+    fn indexes_match_the_scans_they_replace() {
+        use mrm_faults::{FaultConfig, FaultModel};
+        use mrm_sim::rng::SimRng;
+        let retentions = [
+            SimDuration::from_secs(2),
+            SimDuration::from_mins(10),
+            SimDuration::from_hours(1),
+            SimDuration::from_hours(12),
+        ];
+        for seed in 0..24 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut c = ctrl();
+            c.attach_faults(FaultModel::new(FaultConfig::mrm(), seed));
+            let mut now = SimTime::ZERO;
+            for step in 0..300 {
+                let z = ZoneId(rng.gen_range_u64(c.zone_count() as u64) as u32);
+                let retention = retentions[rng.gen_index(retentions.len())];
+                // Every op may fail (wrong state, overflow); the indexes
+                // must agree with the scans either way.
+                let _ = match rng.gen_range_u64(10) {
+                    0 => c.open_zone().map(|_| ()),
+                    1 => c.open_zone_least_worn().map(|_| ()),
+                    2 | 3 => {
+                        let bytes = 1 + rng.gen_range_u64(2 * MIB);
+                        c.append(now, z, bytes, retention).map(|_| ())
+                    }
+                    4 => c.finish_zone(z),
+                    5 => c.reset_zone(z),
+                    6 => c.scrub_zone(now, z, retention).map(|_| ()),
+                    7 => c.retire_zone(z),
+                    8 => {
+                        let len = c.write_pointer(z).unwrap_or(0).clamp(1, MIB);
+                        c.read_checked(now, z, 0, len, retention).map(|_| ())
+                    }
+                    _ => {
+                        now = now.saturating_add(SimDuration::from_secs(rng.gen_range_u64(7200)));
+                        Ok(())
+                    }
+                };
+                let ctx = format!("seed {seed} step {step}");
+                let horizons = [
+                    SimTime::ZERO,
+                    now,
+                    now.saturating_add(SimDuration::from_mins(30)),
+                    now.saturating_add(SimDuration::from_hours(13)),
+                    SimTime::MAX,
+                ];
+                for h in horizons {
+                    assert_eq!(c.zones_expiring_before(h), naive_expiring(&c, h), "{ctx}");
+                }
+                assert_eq!(
+                    c.clone().open_zone_least_worn().ok(),
+                    naive_least_worn(&c),
+                    "{ctx}"
+                );
+                assert_eq!(c.clone().open_zone().ok(), naive_lowest_empty(&c), "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! the model-based property tests and the baseline for the `perf_suite`
 //! pool-churn scenario).
 
+use mrm_device::cell::CellOperatingPoint;
 use mrm_device::device::{DeviceError, MemoryDevice, OpResult};
 use mrm_device::energy::EnergyBreakdown;
 use mrm_sim::time::{SimDuration, SimTime};
@@ -622,6 +623,13 @@ impl Pool {
     /// The underlying device.
     pub fn device(&self) -> &MemoryDevice {
         &self.device
+    }
+
+    /// The device's write operating point at `retention`
+    /// ([`MemoryDevice::write_point`], sharing its memo).
+    #[inline]
+    pub fn write_point(&mut self, retention: SimDuration) -> CellOperatingPoint {
+        self.device.write_point(retention)
     }
 
     /// Pool capacity, bytes.

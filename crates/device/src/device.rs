@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use mrm_sim::time::{SimDuration, SimTime};
 
-use crate::cell::WearState;
+use crate::cell::{CellOperatingPoint, WearState};
 use crate::energy::{EnergyBreakdown, EnergyMeter};
 use crate::geometry::DeviceGeometry;
 use crate::tech::{TechFamily, Technology};
@@ -110,6 +110,14 @@ pub struct MemoryDevice {
     bytes_read: u64,
     bytes_written: u64,
     last_idle_mark: SimTime,
+    /// The operating point of the last write, keyed by the retention it
+    /// was requested at (the point's own `retention` is the anchor for
+    /// non-tunable families); seeded with the anchor retention's point.
+    /// Consecutive writes overwhelmingly share one retention class, so the
+    /// tradeoff curve runs once per class change instead of once per
+    /// write. The cached point is the exact value the curve returns, so
+    /// energy, latency and wear are bit-identical.
+    write_point_memo: (SimDuration, CellOperatingPoint),
 }
 
 impl MemoryDevice {
@@ -129,6 +137,7 @@ impl MemoryDevice {
             .max(tech.access_unit_bytes)
             .max(1);
         let n_blocks = capacity.div_ceil(block_bytes) as usize;
+        let write_point_memo = (tech.retention, tech.tradeoff().at(tech.retention));
         let meter = EnergyMeter::new(
             tech.read_energy_pj_bit,
             tech.write_energy_pj_bit,
@@ -145,6 +154,7 @@ impl MemoryDevice {
             bytes_read: 0,
             bytes_written: 0,
             last_idle_mark: SimTime::ZERO,
+            write_point_memo,
         }
     }
 
@@ -176,6 +186,18 @@ impl MemoryDevice {
     /// Accumulated energy breakdown.
     pub fn energy(&self) -> EnergyBreakdown {
         self.meter.breakdown()
+    }
+
+    /// The cell operating point a write at `retention` programs:
+    /// `self.tech().tradeoff().at(retention)`, memoized for the last
+    /// requested retention. Inlined across crates: tier metering calls
+    /// it once per KV append.
+    #[inline]
+    pub fn write_point(&mut self, retention: SimDuration) -> CellOperatingPoint {
+        if self.write_point_memo.0 != retention {
+            self.write_point_memo = (retention, self.tech.tradeoff().at(retention));
+        }
+        self.write_point_memo.1
     }
 
     fn check_range(&self, addr: u64, len: u64) -> Result<(), DeviceError> {
@@ -264,7 +286,7 @@ impl MemoryDevice {
         retention: SimDuration,
     ) -> Result<OpResult, DeviceError> {
         self.check_range(addr, len)?;
-        let point = self.tech.tradeoff().at(retention);
+        let point = self.write_point(retention);
         // Charge at the retention-scaled energy, not the datasheet anchor.
         let scale =
             point.write_energy_pj_bit / self.tech.write_energy_pj_bit.max(f64::MIN_POSITIVE);
@@ -452,6 +474,52 @@ mod tests {
             r.expired,
             "10-minute-retention write must expire after 30 minutes"
         );
+    }
+
+    #[test]
+    fn write_point_memo_is_bit_identical_to_a_fresh_device() {
+        let mins = SimDuration::from_mins;
+        let hours = SimDuration::from_hours;
+        // Classes alternate, repeat, and hit the anchor retention.
+        let sequence = [
+            mins(10),
+            hours(6),
+            mins(10),
+            mins(10),
+            hours(12),
+            SimDuration::from_days(7),
+            hours(6),
+            hours(6),
+            mins(10),
+        ];
+        // MRM is retention-tunable; HBM (DRAM cells) always programs its
+        // anchor point, whatever retention is requested.
+        for tech in [presets::mrm_hours(), presets::hbm3e()] {
+            let name = tech.name.clone();
+            let mut memo = MemoryDevice::new(tech.clone());
+            let bb = memo.block_bytes();
+            let mut reference_j = 0.0;
+            for (i, &rt) in sequence.iter().enumerate() {
+                let addr = i as u64 * bb;
+                let len = bb + 4097;
+                let mut fresh = MemoryDevice::new(tech.clone());
+                let want = fresh.write_with_retention(now(), addr, len, rt).unwrap();
+                let got = memo.write_with_retention(now(), addr, len, rt).unwrap();
+                assert_eq!(got, want, "{name} write {i}");
+                // A fresh meter holds exactly this write's addend; the
+                // memo device must add the same addends in the same order.
+                reference_j += fresh.energy().write_j;
+                assert_eq!(
+                    memo.energy().write_j.to_bits(),
+                    reference_j.to_bits(),
+                    "{name} write {i}"
+                );
+                for b in memo.block_range(addr, len) {
+                    assert_eq!(memo.blocks[b].retention, fresh.blocks[b].retention);
+                }
+                assert_eq!(memo.write_point(rt), fresh.tech().tradeoff().at(rt));
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! * the **zone controller** oracle is a `Vec<ZoneState>` — every state
 //!   transition (open, append-to-full, read-escalation retirement,
 //!   reset, finish, explicit retire) is mirrored, and retired zones must
-//!   reject every operation forever.
+//!   reject every operation forever. The controller's selection indexes
+//!   are checked against it too: `open_zone` must pick the lowest-index
+//!   empty zone, and the full expiry list must hold every open/full zone
+//!   once, at its deadline, sorted by `(deadline, index)`.
 //!
 //! Fault injection needs a seed, and `run` must be a pure function of
 //! the ops alone — so the fault seed is part of the trace: components
@@ -179,7 +182,8 @@ fn spot_ftl(step: usize, w: &World, lpn: u64) -> Result<(), String> {
 }
 
 /// Zone-state differential: every zone, the retired count, and the
-/// expiry work list (must never offer retired/empty zones).
+/// expiry work list at `SimTime::MAX` (exactly the open/full zones, each
+/// at its deadline, in `(deadline, index)` order).
 fn scan_zones(step: usize, w: &World) -> Result<(), String> {
     let mut retired = 0u64;
     for (zi, &expect) in w.zones.iter().enumerate() {
@@ -201,7 +205,8 @@ fn scan_zones(step: usize, w: &World) -> Result<(), String> {
             w.ctrl.zones_retired()
         ));
     }
-    for (z, _) in w.ctrl.zones_expiring_before(SimTime::MAX) {
+    let expiring = w.ctrl.zones_expiring_before(SimTime::MAX);
+    for &(z, deadline) in &expiring {
         let st = w.zones[z.0 as usize];
         if st != ZoneState::Open && st != ZoneState::Full {
             return Err(format!(
@@ -209,6 +214,32 @@ fn scan_zones(step: usize, w: &World) -> Result<(), String> {
                 z.0
             ));
         }
+        if w.ctrl.deadline(z) != Ok(deadline) {
+            return Err(format!(
+                "op {step}: zone {} listed at {deadline:?} but deadline() is {:?}",
+                z.0,
+                w.ctrl.deadline(z)
+            ));
+        }
+    }
+    if let Some(pair) = expiring
+        .windows(2)
+        .find(|p| (p[0].1, p[0].0) >= (p[1].1, p[1].0))
+    {
+        return Err(format!(
+            "op {step}: expiry list not strictly sorted by (deadline, index): {pair:?}"
+        ));
+    }
+    let written = w
+        .zones
+        .iter()
+        .filter(|&&st| st == ZoneState::Open || st == ZoneState::Full)
+        .count();
+    if expiring.len() != written {
+        return Err(format!(
+            "op {step}: expiry list has {} zones, oracle has {written} open/full",
+            expiring.len()
+        ));
     }
     Ok(())
 }
@@ -415,14 +446,14 @@ impl FuzzTarget for ChaosTarget {
                 | ChaosOp::FtlRead { .. }
                 | ChaosOp::FtlRetire { .. } => {} // FTL is dead; skip.
                 ChaosOp::ZoneOpen => {
-                    if let Ok(opened) = w.ctrl.open_zone() {
-                        let zi = opened.0 as usize;
-                        if w.zones[zi] != ZoneState::Empty {
-                            return Err(format!(
-                                "op {i}: controller opened zone {zi} which oracle has {:?}",
-                                w.zones[zi]
-                            ));
-                        }
+                    let lowest_empty = w.zones.iter().position(|&st| st == ZoneState::Empty);
+                    let opened = w.ctrl.open_zone().ok().map(|z| z.0 as usize);
+                    if opened != lowest_empty {
+                        return Err(format!(
+                            "op {i}: open_zone gave {opened:?}, oracle's lowest empty is {lowest_empty:?}"
+                        ));
+                    }
+                    if let Some(zi) = opened {
                         w.zones[zi] = ZoneState::Open;
                     }
                 }

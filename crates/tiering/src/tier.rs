@@ -51,12 +51,6 @@ pub struct Tier {
     bytes_written: u64,
     /// Energy metered outside the pool device (bulk streams, background).
     extra_energy: EnergyBreakdown,
-    /// Last `(retention, write pJ/bit)` operating point, memoized: batches
-    /// overwhelmingly share one retention class, so the tradeoff-curve
-    /// math runs once per class change instead of once per write. The
-    /// cached value is the exact f64 the curve produces, so metered energy
-    /// is bit-identical to the unmemoized path.
-    write_point_memo: Option<(SimDuration, f64)>,
 }
 
 impl Tier {
@@ -92,7 +86,6 @@ impl Tier {
             bytes_read: 0,
             bytes_written: 0,
             extra_energy: EnergyBreakdown::default(),
-            write_point_memo: None,
         }
     }
 
@@ -185,15 +178,9 @@ impl Tier {
     }
 
     fn meter_write_energy(&mut self, bytes: u64, retention: SimDuration) {
-        let pj_bit = match self.write_point_memo {
-            Some((r, pj)) if r == retention => pj,
-            _ => {
-                let tech = self.pool.device().tech();
-                let pj = tech.tradeoff().at(retention).write_energy_pj_bit;
-                self.write_point_memo = Some((retention, pj));
-                pj
-            }
-        };
+        // The pool device memoizes the operating point per retention
+        // class, so a batch sharing one class evaluates the curve once.
+        let pj_bit = self.pool.write_point(retention).write_energy_pj_bit;
         let j = bytes as f64 * 8.0 * pj_bit * 1e-12;
         self.extra_energy.write_j += j;
     }
