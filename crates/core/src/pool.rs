@@ -15,7 +15,10 @@
 //! *lowest-address* range that fits — exactly the classic first-fit scan —
 //! in O(log n) instead of O(n). Live allocations are validated through a
 //! deterministic open-addressing index ([`LiveMap`]) instead of a sorted
-//! `Vec`, making `free` (lookup + coalesce) O(log n) instead of O(n)
+//! `Vec`. `free` costs one `LiveMap` probe, which checks the length and
+//! removes the entry (a wrong length leaves the map untouched), and one
+//! treap descent, whose search path holds both the predecessor and the
+//! successor to coalesce with: O(log n) instead of O(n)
 //! `Vec::insert`/`remove` shuffles. The behaviour is byte-identical to the
 //! original flat-`Vec` allocator (kept as [`LegacyVecPool`], the oracle for
 //! the model-based property tests and the baseline for the `perf_suite`
@@ -110,6 +113,9 @@ struct FreeTree {
     root: u32,
     /// Number of ranges in the tree.
     count: usize,
+    /// The search path of [`FreeTree::take_first_fit`] and
+    /// [`FreeTree::release_span`], kept between calls to reuse its buffer.
+    path: Vec<u32>,
 }
 
 /// splitmix64: a fixed, seedless mixing function — deterministic priorities.
@@ -127,6 +133,7 @@ impl FreeTree {
             spare: Vec::new(),
             root: NIL,
             count: 0,
+            path: Vec::new(),
         }
     }
 
@@ -232,209 +239,172 @@ impl FreeTree {
         }
     }
 
-    /// Inserts a range. The caller guarantees `addr` is not already present
-    /// and the range is disjoint from (and non-adjacent to) its neighbours.
+    /// Returns the freed span `[addr, addr + len)` to the tree, coalescing
+    /// it with an adjacent predecessor and/or successor.
     ///
-    /// Standard treap insert: descend by key until the new node's priority
-    /// wins, split only that subtree — one descent, not a root-level
-    /// split + two merges.
-    fn insert(&mut self, addr: u64, len: u64) {
-        let n = self.new_node(addr, len);
-        self.root = self.insert_rec(self.root, n);
-        self.count += 1;
-    }
-
-    fn insert_rec(&mut self, t: u32, n: u32) -> u32 {
-        if t == NIL {
-            return n;
-        }
-        if self.nodes[n as usize].prio > self.nodes[t as usize].prio {
-            let (l, r) = self.split(t, self.nodes[n as usize].addr);
-            self.nodes[n as usize].left = l;
-            self.nodes[n as usize].right = r;
-            self.pull(n);
-            return n;
-        }
-        if self.nodes[n as usize].addr < self.nodes[t as usize].addr {
-            let nl = self.insert_rec(self.nodes[t as usize].left, n);
-            self.nodes[t as usize].left = nl;
-        } else {
-            let nr = self.insert_rec(self.nodes[t as usize].right, n);
-            self.nodes[t as usize].right = nr;
-        }
-        self.pull(t);
-        t
-    }
-
-    /// Removes the range starting exactly at `addr`, returning its length.
-    ///
-    /// A targeted descent: a miss costs a pure key search (no restructuring
-    /// at all — the probe for a non-adjacent successor is the common case
-    /// in `free`), a hit merges the found node's children in place.
-    fn remove(&mut self, addr: u64) -> Option<u64> {
-        let (root, removed) = self.remove_rec(self.root, addr);
-        self.root = root;
-        if removed.is_some() {
-            self.count -= 1;
-        }
-        removed
-    }
-
-    fn remove_rec(&mut self, t: u32, addr: u64) -> (u32, Option<u64>) {
-        if t == NIL {
-            return (NIL, None);
-        }
-        let naddr = self.nodes[t as usize].addr;
-        if addr == naddr {
-            let len = self.nodes[t as usize].len;
-            let m = self.merge(self.nodes[t as usize].left, self.nodes[t as usize].right);
-            self.release(t);
-            return (m, Some(len));
-        }
-        if addr < naddr {
-            let (nl, res) = self.remove_rec(self.nodes[t as usize].left, addr);
-            self.nodes[t as usize].left = nl;
-            if res.is_some() {
-                self.pull(t);
-            }
-            (t, res)
-        } else {
-            let (nr, res) = self.remove_rec(self.nodes[t as usize].right, addr);
-            self.nodes[t as usize].right = nr;
-            if res.is_some() {
-                self.pull(t);
-            }
-            (t, res)
-        }
-    }
-
-    /// Grows the range keyed `addr` by `extra` bytes (coalescing into an
-    /// existing predecessor): the key is unchanged, so this is a single
-    /// descent updating `len` and re-pulling `max_len` on the way out — no
-    /// structural change.
-    fn extend_at(&mut self, addr: u64, extra: u64) {
-        let root = self.root;
-        self.extend_rec(root, addr, extra);
-    }
-
-    fn extend_rec(&mut self, t: u32, addr: u64, extra: u64) {
-        debug_assert!(t != NIL, "extend_at: range not present");
-        let naddr = self.nodes[t as usize].addr;
-        if addr == naddr {
-            self.nodes[t as usize].len += extra;
-        } else if addr < naddr {
-            let l = self.nodes[t as usize].left;
-            self.extend_rec(l, addr, extra);
-        } else {
-            let r = self.nodes[t as usize].right;
-            self.extend_rec(r, addr, extra);
-        }
-        self.pull(t);
-    }
-
-    /// Coalesces the freed range `[addr, addr + len)` with an adjacent
-    /// successor, if one exists: the successor node at key `addr + len` is
-    /// re-keyed down to `addr` and grown in place. Legal because no free
-    /// range can begin inside the just-freed span, so the new key still
-    /// sorts directly after the same predecessor; the node's priority is
-    /// untouched (priorities only need to be heap-ordered, and first-fit
-    /// results never depend on tree shape). Returns false when no
-    /// successor starts exactly at `addr + len` (pure descent, no writes).
-    fn absorb_successor(&mut self, addr: u64, len: u64) -> bool {
-        let root = self.root;
-        self.absorb_rec(root, addr, len)
-    }
-
-    fn absorb_rec(&mut self, t: u32, addr: u64, len: u64) -> bool {
-        if t == NIL {
-            return false;
-        }
-        let key = addr + len;
-        let naddr = self.nodes[t as usize].addr;
-        let hit = if key == naddr {
-            let n = &mut self.nodes[t as usize];
-            n.addr = addr;
-            n.len += len;
-            true
-        } else if key < naddr {
-            let l = self.nodes[t as usize].left;
-            self.absorb_rec(l, addr, len)
-        } else {
-            let r = self.nodes[t as usize].right;
-            self.absorb_rec(r, addr, len)
-        };
-        if hit {
-            self.pull(t);
-        }
-        hit
-    }
-
-    /// The range with the greatest base address strictly below `addr`.
-    fn pred(&self, addr: u64) -> Option<(u64, u64)> {
+    /// One search descent for `addr` finds both neighbours: `addr` is never
+    /// a key (no free range starts inside a live allocation), and the
+    /// nearest keys below and above it both lie on its search path. The
+    /// recorded path is then re-pulled bottom-up from the deepest changed
+    /// node, so each of the four cases costs one descent plus O(depth)
+    /// `pull`s:
+    /// - predecessor only: it grows in place (key unchanged);
+    /// - successor only: it is re-keyed down to `addr` and grown (legal
+    ///   because no range starts inside the span, so the new key sorts
+    ///   directly after the same predecessor; its priority only needs to
+    ///   stay heap-ordered, and first-fit never depends on tree shape);
+    /// - both: the predecessor absorbs the span and the successor, whose
+    ///   node is unlinked by merging its children in place;
+    /// - neither: a fresh node is linked in where its priority wins on the
+    ///   path, splitting only that subtree (standard treap insert).
+    fn release_span(&mut self, addr: u64, len: u64) {
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        // Path indices of the nearest keys below and above `addr`.
+        let (mut below, mut above) = (None, None);
         let mut t = self.root;
-        let mut best = None;
         while t != NIL {
             let n = &self.nodes[t as usize];
             if n.addr < addr {
-                best = Some((n.addr, n.len));
+                below = Some(path.len());
+                path.push(t);
                 t = n.right;
             } else {
+                above = Some(path.len());
+                path.push(t);
                 t = n.left;
             }
         }
-        best
+        let pred = below.filter(|&i| {
+            let n = &self.nodes[path[i] as usize];
+            n.addr + n.len == addr
+        });
+        let succ = above.filter(|&i| self.nodes[path[i] as usize].addr == addr + len);
+        match (pred, succ) {
+            (Some(p), None) => {
+                self.nodes[path[p] as usize].len += len;
+                self.pull_path(&path[..=p]);
+            }
+            (None, Some(s)) => {
+                let n = &mut self.nodes[path[s] as usize];
+                n.addr = addr;
+                n.len += len;
+                self.pull_path(&path[..=s]);
+            }
+            (Some(p), Some(s)) => {
+                let sn = path[s];
+                let (sl, sr, slen) = {
+                    let n = &self.nodes[sn as usize];
+                    (n.left, n.right, n.len)
+                };
+                self.nodes[path[p] as usize].len += len + slen;
+                // The predecessor may sit in the successor's left subtree:
+                // re-pull up to (not including) the successor first.
+                if p > s {
+                    self.pull_path(&path[s + 1..=p]);
+                }
+                let m = self.merge(sl, sr);
+                self.link(&path[..s], addr, m);
+                self.release(sn);
+                self.count -= 1;
+                self.pull_path(&path[..s]);
+            }
+            (None, None) => {
+                let n = self.new_node(addr, len);
+                let prio = self.nodes[n as usize].prio;
+                let k = path
+                    .iter()
+                    .position(|&t| self.nodes[t as usize].prio < prio)
+                    .unwrap_or(path.len());
+                if k < path.len() {
+                    let (l, r) = self.split(path[k], addr);
+                    self.nodes[n as usize].left = l;
+                    self.nodes[n as usize].right = r;
+                    self.pull(n);
+                }
+                self.link(&path[..k], addr, n);
+                self.count += 1;
+                self.pull_path(&path[..k]);
+            }
+        }
+        self.path = path;
+    }
+
+    /// Re-pulls `max_len` along a root-first path, deepest node first.
+    fn pull_path(&mut self, path: &[u32]) {
+        for &t in path.iter().rev() {
+            self.pull(t);
+        }
+    }
+
+    /// Hangs subtree `child` below the last node of the root-first
+    /// `path` (on the side `key` sorts to), or at the root when `path`
+    /// is empty.
+    fn link(&mut self, path: &[u32], key: u64, child: u32) {
+        match path.last() {
+            None => self.root = child,
+            Some(&parent) => {
+                let n = &mut self.nodes[parent as usize];
+                if key < n.addr {
+                    n.left = child;
+                } else {
+                    n.right = child;
+                }
+            }
+        }
     }
 
     /// Carves `want` bytes from the lowest-address range with
     /// `len >= want` (first fit), returning the carved base address.
     ///
-    /// An exact-length match removes the range; otherwise the range keeps
-    /// its node and shifts its base in place (`addr + want` still sorts
-    /// before the next range, so the BST order is untouched and no
-    /// rebalancing is needed).
+    /// One left-first descent, recording its path: an exact-length match
+    /// unlinks the range by merging its children in place; otherwise the
+    /// range keeps its node and shifts its base in place (`addr + want`
+    /// still sorts before the next range, so the BST order is untouched
+    /// and no rebalancing is needed). The path is then re-pulled.
     fn take_first_fit(&mut self, want: u64) -> Option<u64> {
         if self.root == NIL || self.nodes[self.root as usize].max_len < want {
             return None;
         }
-        let (root, addr) = self.take_rec(self.root, want);
-        self.root = root;
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        let mut t = self.root;
+        loop {
+            let n = &self.nodes[t as usize];
+            // Lowest address first: any fit in the left subtree wins.
+            let next = if n.left != NIL && self.nodes[n.left as usize].max_len >= want {
+                n.left
+            } else if n.len >= want {
+                break;
+            } else {
+                // Invariant: this subtree's max_len >= want, and neither
+                // the left subtree nor this node fits, so the right
+                // subtree must.
+                debug_assert!(
+                    n.right != NIL && self.nodes[n.right as usize].max_len >= want,
+                    "max_len augmentation out of sync"
+                );
+                n.right
+            };
+            path.push(t);
+            t = next;
+        }
+        let n = &mut self.nodes[t as usize];
+        let addr = n.addr;
+        if n.len == want {
+            let (l, r) = (n.left, n.right);
+            let m = self.merge(l, r);
+            self.link(&path, addr, m);
+            self.release(t);
+            self.count -= 1;
+        } else {
+            n.addr += want;
+            n.len -= want;
+            self.pull(t);
+        }
+        self.pull_path(&path);
+        self.path = path;
         Some(addr)
-    }
-
-    fn take_rec(&mut self, t: u32, want: u64) -> (u32, u64) {
-        let left = self.nodes[t as usize].left;
-        // Lowest address first: any fit in the left subtree wins.
-        if left != NIL && self.nodes[left as usize].max_len >= want {
-            let (nl, addr) = self.take_rec(left, want);
-            self.nodes[t as usize].left = nl;
-            self.pull(t);
-            return (t, addr);
-        }
-        if self.nodes[t as usize].len >= want {
-            let addr = self.nodes[t as usize].addr;
-            if self.nodes[t as usize].len == want {
-                let right = self.nodes[t as usize].right;
-                let m = self.merge(left, right);
-                self.release(t);
-                self.count -= 1;
-                return (m, addr);
-            }
-            self.nodes[t as usize].addr = addr + want;
-            self.nodes[t as usize].len -= want;
-            self.pull(t);
-            return (t, addr);
-        }
-        // Invariant: this subtree's max_len >= want, and neither the left
-        // subtree nor this node fits, so the right subtree must.
-        let right = self.nodes[t as usize].right;
-        debug_assert!(
-            right != NIL && self.nodes[right as usize].max_len >= want,
-            "max_len augmentation out of sync"
-        );
-        let (nr, addr) = self.take_rec(right, want);
-        self.nodes[t as usize].right = nr;
-        self.pull(t);
-        (t, addr)
     }
 
     /// All ranges in address order (diagnostic / test use; O(n)).
@@ -458,7 +428,8 @@ impl FreeTree {
 }
 
 /// Deterministic open-addressing index `addr -> len` for live-allocation
-/// validation (double-free / wrong-length detection in `Pool::free`).
+/// validation (double-free / wrong-length detection in `Pool::free`, one
+/// probe that validates and removes).
 ///
 /// Hashing is a fixed splitmix64 of the address — no ambient entropy (the
 /// workspace's D3 discipline) and no iteration anywhere, so it cannot
@@ -506,33 +477,24 @@ impl LiveMap {
         }
     }
 
-    fn get(&self, addr: u64) -> Option<u64> {
+    /// Removes the entry `addr -> len` and returns true. A missing `addr`,
+    /// or one live with another length, returns false and leaves the map
+    /// untouched.
+    fn remove_exact(&mut self, addr: u64, len: u64) -> bool {
         let mut i = self.home(addr);
         loop {
             let (a, l) = self.slots[i];
             if l == 0 {
-                return None;
+                return false;
             }
             if a == addr {
-                return Some(l);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn remove(&mut self, addr: u64) -> Option<u64> {
-        let mut i = self.home(addr);
-        loop {
-            let (a, l) = self.slots[i];
-            if l == 0 {
-                return None;
-            }
-            if a == addr {
+                if l != len {
+                    return false;
+                }
                 break;
             }
             i = (i + 1) & self.mask;
         }
-        let removed = self.slots[i].1;
         self.occupied -= 1;
         // Backward-shift deletion: walk the probe chain after the gap and
         // pull back any entry whose home position lies cyclically at or
@@ -556,7 +518,7 @@ impl LiveMap {
             }
         }
         self.slots[gap] = (0, 0);
-        Some(removed)
+        true
     }
 
     fn grow(&mut self) {
@@ -611,7 +573,7 @@ impl Pool {
     pub fn with_capacity_hint(device: MemoryDevice, expected_live: usize) -> Self {
         let cap = device.capacity_bytes();
         let mut free = FreeTree::with_capacity(expected_live.saturating_add(1));
-        free.insert(0, cap);
+        free.release_span(0, cap);
         Pool {
             device,
             free,
@@ -682,26 +644,11 @@ impl Pool {
 
     /// Frees an allocation, coalescing adjacent free ranges.
     pub fn free(&mut self, a: Allocation) -> Result<(), PoolError> {
-        if self.live.get(a.addr) != Some(a.len) {
+        if !self.live.remove_exact(a.addr, a.len) {
             return Err(PoolError::InvalidFree);
         }
-        self.live.remove(a.addr);
         self.used -= a.len;
-        // Coalesce with the previous range if it ends exactly at `a.addr`.
-        if let Some((paddr, plen)) = self.free.pred(a.addr) {
-            if paddr + plen == a.addr {
-                // The predecessor keeps its node and key: absorb the freed
-                // span (and an adjacent successor, if any) into it.
-                let nlen = self.free.remove(a.addr + a.len).unwrap_or(0);
-                self.free.extend_at(paddr, a.len + nlen);
-                return Ok(());
-            }
-        }
-        // No predecessor to grow: either re-key an adjacent successor down
-        // onto the freed span, or insert a fresh range.
-        if !self.free.absorb_successor(a.addr, a.len) {
-            self.free.insert(a.addr, a.len);
-        }
+        self.free.release_span(a.addr, a.len);
         Ok(())
     }
 
@@ -713,7 +660,10 @@ impl Pool {
         offset: u64,
         len: u64,
     ) -> Result<OpResult, PoolError> {
-        assert!(offset + len <= a.len, "read outside allocation");
+        assert!(
+            offset.checked_add(len).is_some_and(|end| end <= a.len),
+            "read outside allocation"
+        );
         Ok(self.device.read(now, a.addr + offset, len)?)
     }
 
@@ -726,7 +676,10 @@ impl Pool {
         len: u64,
         retention: SimDuration,
     ) -> Result<OpResult, PoolError> {
-        assert!(offset + len <= a.len, "write outside allocation");
+        assert!(
+            offset.checked_add(len).is_some_and(|end| end <= a.len),
+            "write outside allocation"
+        );
         Ok(self
             .device
             .write_with_retention(now, a.addr + offset, len, retention)?)
@@ -987,6 +940,112 @@ mod tests {
     }
 
     #[test]
+    fn wrong_length_free_changes_nothing() {
+        let mut p = pool();
+        let mut oracle = LegacyVecPool::new(64 * MIB);
+        let allocs: Vec<Allocation> = (0..4).map(|_| p.alloc(MIB).unwrap()).collect();
+        for _ in 0..4 {
+            oracle.alloc(MIB).unwrap();
+        }
+        p.free(allocs[2]).unwrap();
+        oracle.free(allocs[2]).unwrap();
+        let (used, ranges) = (p.used_bytes(), p.free_ranges());
+        let a = allocs[1];
+        for len in [a.len - 1, a.len + 1, 1, u64::MAX] {
+            let wrong = Allocation { addr: a.addr, len };
+            assert_eq!(p.free(wrong), Err(PoolError::InvalidFree));
+            assert_eq!(p.used_bytes(), used);
+            assert_eq!(p.free_ranges(), ranges);
+        }
+        // Every live entry is still found: the rejected probes left the
+        // index untouched, so the correct frees match the oracle's.
+        for a in [allocs[1], allocs[0], allocs[3]] {
+            assert_eq!(p.free(a), oracle.free(a));
+            assert_eq!(p.free_ranges(), oracle.free_ranges());
+        }
+        assert_eq!(p.used_bytes(), 0);
+    }
+
+    /// Frees `before` and then `last` out of five adjacent 1 MiB blocks in
+    /// both the pool and the oracle, comparing every result and the free
+    /// list after each free; returns the final free list.
+    fn coalesce_case(before: &[usize], last: usize) -> Vec<(u64, u64)> {
+        let mut p = pool();
+        let mut oracle = LegacyVecPool::new(64 * MIB);
+        let allocs: Vec<Allocation> = (0..5).map(|_| p.alloc(MIB).unwrap()).collect();
+        for &a in &allocs {
+            assert_eq!(oracle.alloc(MIB), Ok(a));
+        }
+        for &i in before.iter().chain([&last]) {
+            assert_eq!(p.free(allocs[i]), oracle.free(allocs[i]));
+            assert_eq!(p.free_ranges(), oracle.free_ranges());
+            let largest = oracle.free_ranges().iter().map(|r| r.1).max();
+            assert_eq!(Some(p.largest_free_bytes()), largest);
+        }
+        p.free_ranges()
+    }
+
+    #[test]
+    fn free_coalesces_with_predecessor_only() {
+        let tail = (5 * MIB, 59 * MIB);
+        assert_eq!(coalesce_case(&[1], 2), vec![(MIB, 2 * MIB), tail]);
+    }
+
+    #[test]
+    fn free_coalesces_with_successor_only() {
+        let tail = (5 * MIB, 59 * MIB);
+        assert_eq!(coalesce_case(&[3], 2), vec![(2 * MIB, 2 * MIB), tail]);
+        // The pool's tail range is a successor too.
+        assert_eq!(coalesce_case(&[], 4), vec![(4 * MIB, 60 * MIB)]);
+    }
+
+    #[test]
+    fn free_coalesces_with_both_neighbours() {
+        let tail = (5 * MIB, 59 * MIB);
+        assert_eq!(coalesce_case(&[1, 3], 2), vec![(MIB, 3 * MIB), tail]);
+        assert_eq!(coalesce_case(&[3, 1], 2), vec![(MIB, 3 * MIB), tail]);
+        assert_eq!(coalesce_case(&[0, 1, 2, 3], 4), vec![(0, 64 * MIB)]);
+    }
+
+    #[test]
+    fn free_without_free_neighbours_adds_a_range() {
+        let tail = (5 * MIB, 59 * MIB);
+        assert_eq!(coalesce_case(&[], 2), vec![(2 * MIB, MIB), tail]);
+        assert_eq!(coalesce_case(&[], 0), vec![(0, MIB), tail]);
+    }
+
+    /// Two adjacent allocations: `a` at 0 and `b` right after it.
+    fn neighbours() -> (Pool, Allocation, Allocation) {
+        let mut p = pool();
+        let a = p.alloc(MIB).unwrap();
+        let b = p.alloc(MIB).unwrap();
+        assert_eq!((a.addr, b.addr), (0, MIB));
+        (p, a, b)
+    }
+
+    #[test]
+    #[should_panic(expected = "read outside allocation")]
+    fn read_offset_overflow_is_outside_allocation() {
+        // `offset + len` wraps to 4096: an unchecked sum would pass the
+        // bound and read the last page of `a`.
+        let (mut p, _a, b) = neighbours();
+        let _ = p.read(SimTime::ZERO, &b, u64::MAX - 4095, 8192);
+    }
+
+    #[test]
+    #[should_panic(expected = "write outside allocation")]
+    fn write_offset_overflow_is_outside_allocation() {
+        let (mut p, _a, b) = neighbours();
+        let _ = p.write(
+            SimTime::ZERO,
+            &b,
+            u64::MAX - 4095,
+            8192,
+            SimDuration::from_hours(1),
+        );
+    }
+
+    #[test]
     fn zero_alloc_rejected() {
         assert_eq!(pool().alloc(0).unwrap_err(), PoolError::ZeroSize);
     }
@@ -1137,6 +1196,8 @@ mod proptests {
                 prop_assert_eq!(p.free_bytes(), oracle.free_bytes());
                 prop_assert_eq!(p.free_fragments(), oracle.free_fragments());
                 prop_assert_eq!(p.free_ranges(), oracle.free_ranges());
+                let largest = oracle.free_ranges().iter().map(|r| r.1).max();
+                prop_assert_eq!(p.largest_free_bytes(), largest.unwrap_or(0));
             }
         }
     }

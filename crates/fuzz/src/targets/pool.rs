@@ -4,12 +4,15 @@
 //! promised *observational identity* — same addresses, same fragment
 //! lists, same errors. This target replays open-ended alloc/free traces
 //! through both and compares every observable after every op: results,
-//! `used_bytes`, `free_bytes`, `free_fragments`, and the full sorted
-//! `free_ranges` list.
+//! `used_bytes`, `free_bytes`, `free_fragments`, the full sorted
+//! `free_ranges` list, and `largest_free_bytes` against that list.
 //!
 //! `Reset { capacity }` re-creates both pools at an arbitrary (lean-
 //! biased) capacity, so zero-capacity and one-byte pools are first-class
 //! inputs, as are double frees, bogus frees, and zero-size allocations.
+//! `WrongLenFree` frees a live address with the wrong length: a bogus free
+//! almost never lands on a live address, and `Pool::free` validates and
+//! removes in one probe, which must leave the live entry in place.
 //!
 //! Sabotage mode rounds every allocation the *oracle* sees up to the
 //! next even size — the injected-mutation self-test: accounting diverges
@@ -17,7 +20,7 @@
 
 use crate::engine::FuzzTarget;
 use crate::rng::FuzzRng;
-use mrm_core::pool::{Allocation, LegacyVecPool, Pool};
+use mrm_core::pool::{Allocation, LegacyVecPool, Pool, PoolError};
 use mrm_device::device::MemoryDevice;
 use mrm_device::tech::presets;
 use mrm_sim::units::MIB;
@@ -40,6 +43,10 @@ pub enum PoolOp {
     DoubleFree { pick: u64 },
     /// Free a fabricated allocation that was never handed out.
     BogusFree { addr: u64, len: u64 },
+    /// Free the `pick % live`-th live allocation with its length off by
+    /// `delta` (wrapping; 0 is a no-op). Both sides must refuse it and keep
+    /// the allocation live.
+    WrongLenFree { pick: u64, delta: i64 },
 }
 
 pub struct PoolTarget {
@@ -87,6 +94,14 @@ fn compare(step: usize, p: &Pool, oracle: &LegacyVecPool) -> Result<(), String> 
     if a != b {
         return Err(format!("op {step}: free_ranges {a:?} vs oracle {b:?}"));
     }
+    // The treap's max-length augmentation, against the oracle's list.
+    let largest = b.iter().map(|r| r.1).max().unwrap_or(0);
+    if p.largest_free_bytes() != largest {
+        return Err(format!(
+            "op {step}: largest_free_bytes {} vs oracle {largest}",
+            p.largest_free_bytes()
+        ));
+    }
     Ok(())
 }
 
@@ -130,12 +145,20 @@ impl FuzzTarget for PoolTarget {
                 PoolOp::DoubleFree { pick: 0 },
                 PoolOp::BogusFree { addr: 17, len: 12 },
                 PoolOp::Alloc { len: u64::MAX },
+                PoolOp::Alloc { len: 1024 },
+                PoolOp::WrongLenFree { pick: 0, delta: -1 },
+                PoolOp::WrongLenFree { pick: 0, delta: 1 },
+                PoolOp::WrongLenFree {
+                    pick: 0,
+                    delta: -1024,
+                },
+                PoolOp::Free { pick: 0 },
             ],
         ]
     }
 
     fn gen_op(&self, rng: &mut FuzzRng) -> PoolOp {
-        match rng.below(12) {
+        match rng.below(13) {
             0 => PoolOp::Reset {
                 capacity: rng.lean_below(MAX_CAPACITY + 1),
             },
@@ -150,9 +173,13 @@ impl FuzzTarget for PoolTarget {
             10 => PoolOp::DoubleFree {
                 pick: rng.next_u64(),
             },
-            _ => PoolOp::BogusFree {
+            11 => PoolOp::BogusFree {
                 addr: rng.lean_u64(),
                 len: rng.lean_u64(),
+            },
+            _ => PoolOp::WrongLenFree {
+                pick: rng.next_u64(),
+                delta: wrong_len_delta(rng),
             },
         }
     }
@@ -175,6 +202,10 @@ impl FuzzTarget for PoolTarget {
                 addr: addr.wrapping_add(rng.lean_below(64)),
                 len: *len,
             },
+            PoolOp::WrongLenFree { pick, .. } => PoolOp::WrongLenFree {
+                pick: *pick,
+                delta: wrong_len_delta(rng),
+            },
         }
     }
 
@@ -190,6 +221,12 @@ impl FuzzTarget for PoolTarget {
                 addr: addr / 2,
                 len: len / 2,
             }),
+            PoolOp::WrongLenFree { pick, delta } if *pick > 0 || delta.abs() > 1 => {
+                Some(PoolOp::WrongLenFree {
+                    pick: pick / 2,
+                    delta: if delta.abs() > 1 { delta / 2 } else { *delta },
+                })
+            }
             _ => None,
         }
     }
@@ -254,6 +291,22 @@ impl FuzzTarget for PoolTarget {
                         }
                     }
                 }
+                PoolOp::WrongLenFree { pick, delta } => {
+                    if !live.is_empty() && *delta != 0 {
+                        let a = live[(pick % live.len() as u64) as usize];
+                        let wrong = Allocation {
+                            addr: a.addr,
+                            len: a.len.wrapping_add_signed(*delta),
+                        };
+                        let (got, want) = (p.free(wrong), oracle.free(wrong));
+                        if got != want || got != Err(PoolError::InvalidFree) {
+                            return Err(format!(
+                                "op {i}: wrong-length free({wrong:?}) of {a:?} => {got:?} \
+                                 vs oracle {want:?}"
+                            ));
+                        }
+                    }
+                }
                 PoolOp::BogusFree { addr, len } => {
                     // Only bogus if it doesn't collide with a live
                     // allocation's exact (addr, len); skip if it does.
@@ -274,5 +327,16 @@ impl FuzzTarget for PoolTarget {
             compare(i, &p, &oracle)?;
         }
         Ok(())
+    }
+}
+
+/// A nonzero length error of either sign, up to 1 MiB, boundary-biased
+/// so off-by-one and power-of-two deltas are frequent.
+fn wrong_len_delta(rng: &mut FuzzRng) -> i64 {
+    let d = rng.lean_below(MIB) as i64 + 1;
+    if rng.one_in(2) {
+        -d
+    } else {
+        d
     }
 }

@@ -13,7 +13,7 @@
 //! memory-bandwidth differences between policies translate directly into
 //! token throughput, and per-bit energy differences into J/token.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use mrm_control::expiry::{consumed_age, rearm_deadline};
@@ -22,6 +22,7 @@ use mrm_control::{
     AuditAction, AuditLog, ControlClass, ControlPlane, ControlSummary, Reason, Reconciler,
     WorkItem, WorkKind,
 };
+use mrm_core::pool::Allocation;
 use mrm_device::cell::RetentionTradeoff;
 use mrm_device::device::FRESH_RBER;
 use mrm_device::energy::EnergyBreakdown;
@@ -471,6 +472,32 @@ struct Pending {
     reuse: Option<u64>,
 }
 
+/// A context's KV allocations. Most contexts own one extent; a follow-up
+/// owns its parked prefix's extents plus one more, so the first extent is
+/// held inline and only follow-up chains touch the heap.
+#[derive(Clone, Debug)]
+struct Extents {
+    head: Allocation,
+    tail: Vec<Allocation>,
+}
+
+impl Extents {
+    fn new(head: Allocation) -> Self {
+        Extents {
+            head,
+            tail: Vec::new(),
+        }
+    }
+
+    /// Frees every extent in allocation order: the head, then the tail.
+    fn free(self, tier: &mut Tier) {
+        let _ = tier.free(self.head);
+        for al in self.tail {
+            let _ = tier.free(al);
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Active {
     arrival: SimTime,
@@ -478,7 +505,7 @@ struct Active {
     req: u64,
     context_tokens: u32,
     output_remaining: u32,
-    kv_allocs: Vec<mrm_core::pool::Allocation>,
+    kv_allocs: Extents,
     kv_bytes: u64,
     retention: SimDuration,
     /// Whether the first output token has been produced (TTFT recorded).
@@ -487,15 +514,20 @@ struct Active {
 
 /// The in-flight decode batch in struct-of-arrays layout.
 ///
-/// Every decode iteration scans the whole batch twice (KV read sizing over
-/// `context_tokens`, per-context KV append over `retention`) and the
-/// completion sweep walks four more fields; splitting them into parallel
-/// dense columns keeps those scans on contiguous homogeneous memory
-/// instead of striding over `Active` records dragging the cold
-/// `kv_allocs` vectors through cache. Slot `i` means the same request in
-/// every column, and removal is a columnwise `swap_remove` — the exact
-/// ordering the AoS `Vec<Active>` had, so event order (and therefore
-/// every byte of every report) is unchanged.
+/// Every decode iteration steps the whole batch (`context_tokens` and
+/// `output_remaining` in one pass, then the per-context KV append over
+/// `retention`); the ordered completion scan walks more fields, but only
+/// on iterations where some context finished or awaits its first token.
+/// Splitting the fields into parallel dense columns keeps those scans on
+/// contiguous homogeneous memory instead of striding over `Active`
+/// records dragging the cold extents through cache. Slot `i` means the
+/// same request in every column, and removal is a columnwise
+/// `swap_remove` — the exact ordering the AoS `Vec<Active>` had, so event
+/// order (and therefore every byte of every report) is unchanged.
+/// `token_sum` is the exact sum of `context_tokens`, kept at every push,
+/// removal and step, so sizing the iteration's KV read is O(1);
+/// `awaiting_first` counts the `false` entries of `first_token_done`, so
+/// the step need not read that column.
 #[derive(Clone, Debug, Default)]
 struct ActiveBatch {
     // Hot columns: scanned every iteration.
@@ -508,7 +540,11 @@ struct ActiveBatch {
     req: Vec<u64>,
     kv_bytes: Vec<u64>,
     // Cold: allocation handles, moved only at admission and completion.
-    kv_allocs: Vec<Vec<mrm_core::pool::Allocation>>,
+    kv_allocs: Vec<Extents>,
+    /// Sum of `context_tokens`.
+    token_sum: u64,
+    /// Contexts still awaiting their first token.
+    awaiting_first: usize,
 }
 
 impl ActiveBatch {
@@ -521,6 +557,8 @@ impl ActiveBatch {
     }
 
     fn push(&mut self, a: Active) {
+        self.token_sum += u64::from(a.context_tokens);
+        self.awaiting_first += usize::from(!a.first_token_done);
         self.context_tokens.push(a.context_tokens);
         self.output_remaining.push(a.output_remaining);
         self.retention.push(a.retention);
@@ -532,26 +570,131 @@ impl ActiveBatch {
     }
 
     fn swap_remove(&mut self, i: usize) -> Active {
+        let context_tokens = self.context_tokens.swap_remove(i);
+        self.token_sum -= u64::from(context_tokens);
+        let first_token_done = self.first_token_done.swap_remove(i);
+        self.awaiting_first -= usize::from(!first_token_done);
         Active {
-            context_tokens: self.context_tokens.swap_remove(i),
+            context_tokens,
             output_remaining: self.output_remaining.swap_remove(i),
             retention: self.retention.swap_remove(i),
-            first_token_done: self.first_token_done.swap_remove(i),
+            first_token_done,
             arrival: self.arrival.swap_remove(i),
             req: self.req.swap_remove(i),
             kv_bytes: self.kv_bytes.swap_remove(i),
             kv_allocs: self.kv_allocs.swap_remove(i),
         }
     }
+
+    /// Advances every context by one decoded token. Returns whether the
+    /// ordered completion scan has work: some context finished, or still
+    /// awaits its first token.
+    fn step(&mut self) -> bool {
+        let mut finished = false;
+        for (ctx, rem) in self
+            .context_tokens
+            .iter_mut()
+            .zip(&mut self.output_remaining)
+        {
+            *ctx += 1;
+            *rem -= 1;
+            finished |= *rem == 0;
+        }
+        self.token_sum += self.len() as u64;
+        finished || self.awaiting_first > 0
+    }
+
+    /// Marks slot `i`'s first token as produced; returns whether it was
+    /// still awaited.
+    fn first_token(&mut self, i: usize) -> bool {
+        let awaited = !std::mem::replace(&mut self.first_token_done[i], true);
+        self.awaiting_first -= usize::from(awaited);
+        awaited
+    }
 }
 
 #[derive(Clone, Debug)]
 struct Cached {
-    kv_allocs: Vec<mrm_core::pool::Allocation>,
+    kv_allocs: Extents,
     kv_bytes: u64,
     tokens: u32,
     deadline: SimTime,
     retention: SimDuration,
+}
+
+/// One accelerator's parked contexts, in id order.
+///
+/// Context ids come from one global counter, so an accelerator parks them
+/// in increasing order: parking is a `push_back` and a lookup is a binary
+/// search over the compact `ids` column. Removal empties the slot and pops
+/// empty slots off the front, so the front slot is always live (the oldest
+/// parked context) and the holes stay within the ids' live span. The one
+/// out-of-order park, a stalled admission putting a follow-up's prefix
+/// back, takes a sorted insert.
+#[derive(Debug, Default)]
+struct Parked {
+    ids: VecDeque<u64>,
+    slots: VecDeque<Option<Cached>>,
+}
+
+impl Parked {
+    /// Live contexts (O(n): the cluster keeps its own running total).
+    fn len(&self) -> usize {
+        self.slots.iter().filter(|c| c.is_some()).count()
+    }
+
+    /// The slot of `id`. Evictions and expiries mostly ask for the oldest
+    /// context or one already gone, which the front answers without a
+    /// search.
+    fn slot(&self, id: u64) -> Option<usize> {
+        let &front = self.ids.front()?;
+        if id <= front {
+            return (id == front).then_some(0);
+        }
+        self.ids.binary_search(&id).ok()
+    }
+
+    fn get(&self, id: u64) -> Option<&Cached> {
+        self.slots[self.slot(id)?].as_ref()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut Cached> {
+        let i = self.slot(id)?;
+        self.slots[i].as_mut()
+    }
+
+    fn park(&mut self, id: u64, c: Cached) {
+        if self.ids.back().is_none_or(|&last| last < id) {
+            self.ids.push_back(id);
+            self.slots.push_back(Some(c));
+        } else {
+            match self.ids.binary_search(&id) {
+                Ok(i) => {
+                    debug_assert!(self.slots[i].is_none(), "context {id} parked twice");
+                    self.slots[i] = Some(c);
+                }
+                Err(i) => {
+                    self.ids.insert(i, id);
+                    self.slots.insert(i, Some(c));
+                }
+            }
+        }
+    }
+
+    fn remove(&mut self, id: u64) -> Option<Cached> {
+        let i = self.slot(id)?;
+        let c = self.slots[i].take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.ids.pop_front();
+        }
+        Some(c)
+    }
+
+    /// The oldest (lowest-id) parked context.
+    fn oldest(&self) -> Option<u64> {
+        self.ids.front().copied()
+    }
 }
 
 struct Accel {
@@ -559,7 +702,7 @@ struct Accel {
     alt: Option<Tier>,
     batch: ActiveBatch,
     queue: VecDeque<Pending>,
-    cached: BTreeMap<u64, Cached>,
+    cached: Parked,
     /// Control-plane reconciler for the parked-prefix class: the data path
     /// observes parks/releases in, the maintenance sweep executes the work
     /// items it plans.
@@ -765,7 +908,7 @@ impl<'t> ClusterSim<'t> {
                     alt: cfg.alt_tier().map(tier),
                     batch: ActiveBatch::default(),
                     queue: VecDeque::new(),
-                    cached: BTreeMap::new(),
+                    cached: Parked::default(),
                     reconciler: Reconciler::new(ControlClass::KvPrefix),
                     running: false,
                     weights_written_at: SimTime::ZERO,
@@ -1292,6 +1435,20 @@ impl<'t> ClusterSim<'t> {
             self.cached_total,
             self.accels.iter().map(|a| a.cached.len()).sum::<usize>()
         );
+        for a in &self.accels {
+            debug_assert_eq!(
+                a.batch.awaiting_first,
+                a.batch.first_token_done.iter().filter(|&&f| !f).count()
+            );
+            debug_assert_eq!(
+                a.batch.token_sum,
+                a.batch
+                    .context_tokens
+                    .iter()
+                    .map(|&c| u64::from(c))
+                    .sum::<u64>()
+            );
+        }
         sink.gauge("cluster_pending_requests", self.pending_total as f64);
         sink.gauge("cluster_active_batch", self.active_total as f64);
         sink.gauge("cluster_cached_contexts", self.cached_total as f64);
@@ -1417,7 +1574,7 @@ impl<'t> ClusterSim<'t> {
             // promoted into the live tail, a planned end of need.
             let mut consumed: Option<u64> = None; // audit seq
             let (base_tokens, base_allocs, base_bytes) = match reuse {
-                Some(ctx) => match a.cached.remove(&ctx) {
+                Some(ctx) => match a.cached.remove(ctx) {
                     Some(c) => {
                         self.cached_total -= 1;
                         a.reconciler.observe_release(ctx);
@@ -1430,11 +1587,11 @@ impl<'t> ClusterSim<'t> {
                             c.kv_bytes,
                         );
                         consumed = Some(seq);
-                        (c.tokens, c.kv_allocs, c.kv_bytes)
+                        (c.tokens, Some(c.kv_allocs), c.kv_bytes)
                     }
-                    None => (0, Vec::new(), 0),
+                    None => (0, None, 0),
                 },
-                None => (0, Vec::new(), 0),
+                None => (0, None, 0),
             };
             if let Some(seq) = consumed {
                 let _ = self.obs_prefix_end(now, acc, SpanKind::Retire, seq, false);
@@ -1460,10 +1617,12 @@ impl<'t> ClusterSim<'t> {
                     // reclaimed under pressure (EPHEMERAL-POLICY).
                     Err(_) if self.control.may_evict(ControlClass::KvPrefix, 1.0) => {
                         // Oldest cached context first (ids are monotonic).
-                        let victim = a.cached.keys().find(|&&c| Some(c) != reuse).copied();
-                        match victim {
+                        // A reused context left the parked set above, so
+                        // it is never its own victim.
+                        match a.cached.oldest() {
                             Some(v) => {
-                                if let Some(c) = a.cached.remove(&v) {
+                                debug_assert_ne!(Some(v), reuse);
+                                if let Some(c) = a.cached.remove(v) {
                                     self.cached_total -= 1;
                                     a.reconciler.observe_release(v);
                                     let seq = self.control.record(
@@ -1477,10 +1636,7 @@ impl<'t> ClusterSim<'t> {
                                     if self.obs.is_some() {
                                         evicted_seqs.push(seq);
                                     }
-                                    let kvt = a.kv_tier(policy);
-                                    for al in c.kv_allocs {
-                                        let _ = kvt.free(al);
-                                    }
+                                    c.kv_allocs.free(a.kv_tier(policy));
                                 }
                             }
                             None => break None,
@@ -1496,12 +1652,12 @@ impl<'t> ClusterSim<'t> {
             let Some(alloc) = alloc else {
                 // Genuinely out of memory even with an empty cache: put
                 // reused state back and stall admission.
-                if let Some(ctx) = reuse {
+                if let (Some(ctx), Some(kv_allocs)) = (reuse, base_allocs) {
                     if base_bytes > 0 {
-                        a.cached.insert(
+                        a.cached.park(
                             ctx,
                             Cached {
-                                kv_allocs: base_allocs,
+                                kv_allocs,
                                 kv_bytes: base_bytes,
                                 tokens: base_tokens,
                                 deadline: SimTime::MAX,
@@ -1545,8 +1701,13 @@ impl<'t> ClusterSim<'t> {
             // Prefill traffic: the new prompt's KV vectors are written.
             prefill_write_bytes += u64::from(prompt_tokens) * kvpt;
             prefill_tokens += u64::from(prompt_tokens);
-            let mut kv_allocs = base_allocs;
-            kv_allocs.push(alloc);
+            let kv_allocs = match base_allocs {
+                Some(mut kv) => {
+                    kv.tail.push(alloc);
+                    kv
+                }
+                None => Extents::new(alloc),
+            };
             a.batch.push(Active {
                 arrival,
                 req,
@@ -1572,12 +1733,7 @@ impl<'t> ClusterSim<'t> {
         // Iteration duration from memory traffic (§2.2 arithmetic).
         let weights_bytes = self.weights_bytes;
         let batch_len = a.batch.len() as u64;
-        let kv_read_total: u64 = a
-            .batch
-            .context_tokens
-            .iter()
-            .map(|&c| u64::from(c) * kvpt)
-            .sum();
+        let kv_read_total = a.batch.token_sum * kvpt;
         let act_bytes = self
             .cfg
             .model
@@ -1661,15 +1817,15 @@ impl<'t> ClusterSim<'t> {
         self.accels[acc].running = false;
         let mut finished: Vec<Active> = Vec::new();
         let mut first_tokens: Vec<u64> = Vec::new();
-        {
-            let a = &mut self.accels[acc];
+        let a = &mut self.accels[acc];
+        self.tokens += a.batch.len() as u64;
+        if a.batch.step() {
+            // Ordered scan, in the slot order of a one-pass step: a
+            // completion's `swap_remove` moves the last slot into `i`,
+            // which is visited next.
             let mut i = 0;
             while i < a.batch.len() {
-                a.batch.context_tokens[i] += 1;
-                a.batch.output_remaining[i] -= 1;
-                self.tokens += 1;
-                if !a.batch.first_token_done[i] {
-                    a.batch.first_token_done[i] = true;
+                if a.batch.first_token(i) {
                     let ttft = now.duration_since(a.batch.arrival[i]);
                     let ttft_ms = ttft.as_secs_f64() * 1e3;
                     self.ttft_ms.record(ttft_ms);
@@ -1727,7 +1883,7 @@ impl<'t> ClusterSim<'t> {
             };
             let needed_until = now + self.cfg.followup_window;
             let a = &mut self.accels[acc];
-            a.cached.insert(
+            a.cached.park(
                 ctx,
                 Cached {
                     kv_allocs: r.kv_allocs,
@@ -1766,7 +1922,7 @@ impl<'t> ClusterSim<'t> {
         let mut hit_survived = true;
         let mut fault_span: Option<SpanId> = None;
         if self.fault_layer.is_some() {
-            let probe = match self.accels[acc].cached.get(&ctx) {
+            let probe = match self.accels[acc].cached.get(ctx) {
                 Some(c) if now <= c.deadline => {
                     // Deadline = write time + retention, so the data's age
                     // is the retention already consumed. Self-refreshing
@@ -1789,7 +1945,7 @@ impl<'t> ClusterSim<'t> {
             }
         }
         let a = &mut self.accels[acc];
-        match a.cached.get(&ctx) {
+        match a.cached.get(ctx) {
             Some(c) if now <= c.deadline && hit_survived => {
                 // Valid cached KV: continue the context without prefill of
                 // the history.
@@ -1810,7 +1966,7 @@ impl<'t> ClusterSim<'t> {
                 // reclaim legal under the REQUIRED-DURABLE oracle.
                 let (tokens, bytes) = a
                     .cached
-                    .get(&ctx)
+                    .get(ctx)
                     .map(|c| (c.tokens, c.kv_bytes))
                     .unwrap_or((0, 0));
                 let item = WorkItem {
@@ -1872,18 +2028,15 @@ impl<'t> ClusterSim<'t> {
     fn free_cached(&mut self, acc: usize, ctx: u64) {
         let policy = self.cfg.policy;
         let a = &mut self.accels[acc];
-        if let Some(c) = a.cached.remove(&ctx) {
+        if let Some(c) = a.cached.remove(ctx) {
             a.reconciler.observe_release(ctx);
-            let kvt = a.kv_tier(policy);
-            for al in c.kv_allocs {
-                let _ = kvt.free(al);
-            }
+            c.kv_allocs.free(a.kv_tier(policy));
             self.cached_total -= 1;
         }
     }
 
     fn on_cache_expire(&mut self, now: SimTime, acc: usize, ctx: u64) {
-        if let Some(bytes) = self.accels[acc].cached.get(&ctx).map(|c| c.kv_bytes) {
+        if let Some(bytes) = self.accels[acc].cached.get(ctx).map(|c| c.kv_bytes) {
             let seq = self.control.record(
                 now,
                 ControlClass::KvPrefix,
@@ -1923,7 +2076,10 @@ impl<'t> ClusterSim<'t> {
                 match item.kind {
                     WorkKind::Refresh => {
                         let (bytes, retention, deadline) = {
-                            let c = &self.accels[acc].cached[&ctx];
+                            let c = self.accels[acc]
+                                .cached
+                                .get(ctx)
+                                .expect("planned refresh of a parked context");
                             (c.kv_bytes, c.retention, c.deadline)
                         };
                         // Scrub verification read: refreshing re-reads the
@@ -1943,7 +2099,7 @@ impl<'t> ClusterSim<'t> {
                             let a = &mut self.accels[acc];
                             a.kv_tier(policy).charge_scrub(bytes);
                             a.reconciler.observe_refreshed(ctx, now);
-                            if let Some(c) = a.cached.get_mut(&ctx) {
+                            if let Some(c) = a.cached.get_mut(ctx) {
                                 c.deadline = rearm_deadline(now, retention);
                             }
                             let seq = self.control.record_work(now, &item, bytes);
@@ -1962,7 +2118,7 @@ impl<'t> ClusterSim<'t> {
                             let new_deadline = rearm_deadline(now, long);
                             a.reconciler
                                 .observe_store(ctx, new_deadline, new_deadline, long);
-                            if let Some(c) = a.cached.get_mut(&ctx) {
+                            if let Some(c) = a.cached.get_mut(ctx) {
                                 c.deadline = new_deadline;
                                 c.retention = long;
                             }
@@ -1980,13 +2136,17 @@ impl<'t> ClusterSim<'t> {
                     WorkKind::Migrate { to } => {
                         // Rewrite at the escalation class: one-time cost,
                         // long deadline.
-                        let bytes = self.accels[acc].cached[&ctx].kv_bytes;
+                        let bytes = self.accels[acc]
+                            .cached
+                            .get(ctx)
+                            .expect("planned migration of a parked context")
+                            .kv_bytes;
                         let a = &mut self.accels[acc];
                         let kvt = a.kv_tier(policy);
                         let _ = kvt.stream_write(bytes, to);
                         let deadline = rearm_deadline(now, to);
                         a.reconciler.observe_store(ctx, deadline, deadline, to);
-                        if let Some(c) = a.cached.get_mut(&ctx) {
+                        if let Some(c) = a.cached.get_mut(ctx) {
                             c.deadline = deadline;
                             c.retention = to;
                         }
@@ -2000,7 +2160,7 @@ impl<'t> ClusterSim<'t> {
                         // record is the drop (or retire) alone.
                         let bytes = self.accels[acc]
                             .cached
-                            .get(&ctx)
+                            .get(ctx)
                             .map(|c| c.kv_bytes)
                             .unwrap_or(0);
                         let action = if item.kind == WorkKind::Retire {
@@ -2806,5 +2966,85 @@ mod tests {
         let mut cfg = ClusterConfig::llama70b(PlacementPolicy::HbmOnly, 1, 8.0);
         cfg.accelerators = 0;
         let _ = ClusterSim::new(cfg);
+    }
+
+    /// A parked context tagged by its `kv_bytes`.
+    fn parked_ctx(tag: u64) -> Cached {
+        Cached {
+            kv_allocs: Extents::new(Allocation { addr: tag, len: 1 }),
+            kv_bytes: tag,
+            tokens: 0,
+            deadline: SimTime::MAX,
+            retention: SimDuration::ZERO,
+        }
+    }
+
+    #[test]
+    fn parked_set_matches_a_btreemap() {
+        use std::collections::BTreeMap;
+        for seed in 0..16 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut set = Parked::default();
+            let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut next_id = 0u64;
+            // Removed ids, re-parked later out of order.
+            let mut removed: Vec<u64> = Vec::new();
+            for _ in 0..2000 {
+                // Any id parked so far, plus one never parked.
+                let probe = rng.gen_range_u64(next_id + 1);
+                let tag = rng.next_u64();
+                match rng.gen_range_u64(8) {
+                    0..=2 => {
+                        set.park(next_id, parked_ctx(tag));
+                        reference.insert(next_id, tag);
+                        next_id += 1;
+                    }
+                    3 if !removed.is_empty() => {
+                        let id = removed.swap_remove(rng.gen_index(removed.len()));
+                        set.park(id, parked_ctx(tag));
+                        reference.insert(id, tag);
+                    }
+                    4 => {
+                        let got = set.get(probe).map(|c| c.kv_bytes);
+                        assert_eq!(got, reference.get(&probe).copied());
+                    }
+                    5 => {
+                        let got = set.get_mut(probe).map(|c| {
+                            c.kv_bytes = tag;
+                        });
+                        let want = reference.get_mut(&probe).map(|v| {
+                            *v = tag;
+                        });
+                        assert_eq!(got, want);
+                    }
+                    6 => {
+                        let got = set.remove(probe).map(|c| c.kv_bytes);
+                        assert_eq!(got, reference.remove(&probe));
+                        if got.is_some() {
+                            removed.push(probe);
+                        }
+                    }
+                    _ => {
+                        let oldest = set.oldest();
+                        assert_eq!(oldest, reference.keys().next().copied());
+                        if let Some(id) = oldest {
+                            let got = set.remove(id).map(|c| c.kv_bytes);
+                            assert_eq!(got, reference.remove(&id));
+                            removed.push(id);
+                        }
+                    }
+                }
+                assert_eq!(set.len(), reference.len());
+                let live: Vec<(u64, u64)> = set
+                    .ids
+                    .iter()
+                    .zip(&set.slots)
+                    .filter_map(|(&id, c)| Some((id, c.as_ref()?.kv_bytes)))
+                    .collect();
+                let want: Vec<(u64, u64)> = reference.iter().map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(live, want);
+                assert!(set.slots.front().is_none_or(Option::is_some));
+            }
+        }
     }
 }
